@@ -264,21 +264,23 @@ class FiniteGroupRingModule:
                 rows.append(row)
         return rows
 
-    def _difference_rows(self, multipliers, translates=None):
-        """Rows (w - 1) * t * e_j for w in `multipliers`, t in
-        `translates` (defaults to all of G), j over generators."""
+    def _difference_rows(self, multipliers):
+        """Rows (s - 1) * t * e_j, for s in a generating set of the
+        subgroup the `multipliers` generate, t in G and j over generators.
+        They span every (w - 1) * t * e_j with w in that subgroup, as
+        (ab - 1)t = (a - 1)(bt) + (b - 1)t and (a^-1 - 1)t = -(a - 1)(a^-1 t)."""
         G = self.group
-        if translates is None:
-            translates = range(G.order)
+        gens, span = [], frozenset({G.identity})
+        for w in sorted(multipliers):
+            if w not in span:
+                gens.append(w)
+                span = G.closure(gens)
         rows = []
-        e = G.identity
-        for w in multipliers:
-            if w == e:
-                continue
-            for t in translates:
+        for s in gens:
+            for t in range(G.order):
                 for j in range(self.generators):
                     row = [0] * self.basis_size
-                    row[j * G.order + G.mul(w, t)] += 1
+                    row[j * G.order + G.mul(s, t)] += 1
                     row[j * G.order + t] -= 1
                     rows.append(row)
         return rows

@@ -4,13 +4,14 @@ and the independent resultant oracle for one-variable torsion sizes.
 
 The coinvariant computation works on the monomial basis modulo the
 level-n elements (1+T_j)^{p^n} - 1, which are monic, so reduction is
-exact Euclidean division per variable (no Groebner machinery).  Dense
-kernels use numpy int64 arithmetic; p^N must stay below sqrt(2^63).
+exact Euclidean division per variable (no Groebner machinery).  The
+Smith normal form eliminates one p-adic valuation layer at a time
+(Cohen, GTM 138, section 2.4) in numpy int64 arithmetic, which needs
+p^N <= floor(sqrt(2^63 - 1)).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
 
@@ -28,7 +29,22 @@ DEFAULT_DIMENSION_BOUND = 20000
 #: indistinguishable from free at precision N.
 DEFAULT_GUARD = 2
 
-_INT64_MODULUS_CAP = 3_037_000_499  # floor(sqrt(2^63 - 1))
+# floor(sqrt(2^63 - 1)).  The dense kernels add to or subtract from a
+# residue mod p^N the product of two such residues; p^N <= this cap
+# keeps every intermediate within (p^N - 1)^2 + p^N <= 2^63 - 1.
+_INT64_MODULUS_CAP = 3_037_000_499
+
+
+def _int64_modulus(p: int, N: int) -> int:
+    """p^N, or ValueError when it is above _INT64_MODULUS_CAP."""
+    m = p ** N
+    if m > _INT64_MODULUS_CAP:
+        n_max = max(k for k in range(64) if p ** k <= _INT64_MODULUS_CAP)
+        raise ValueError(
+            f"p^N = {p}^{N} exceeds the int64 cap {_INT64_MODULUS_CAP}"
+            f" = floor(sqrt(2^63 - 1)); p = {p} allows N <= {n_max}"
+        )
+    return m
 
 
 @dataclass(frozen=True)
@@ -112,65 +128,40 @@ class TowerDatum:
 # ------------------------------------------------------------------
 
 
-def _valuations(sub: np.ndarray, p: int, N: int) -> np.ndarray:
-    vals = np.full(sub.shape, N, dtype=np.int64)
-    t = sub.copy()
-    active = t != 0
-    cur = 0
-    while active.any() and cur < N:
-        nondiv = active & (t % p != 0)
-        vals[nondiv] = cur
-        active &= ~nondiv
-        t[active] //= p
-        cur += 1
-    return vals
-
-
 def snf(matrix, p: Prime, N: int) -> AbelianShape:
     """Shape of the cokernel of `matrix` viewed as relations (rows)
     among `ncols` generators of (Z/p^N)^ncols.
 
-    Pivoting is by minimal p-valuation (first occurrence in row-major
-    order), which over the local ring Z/p^N yields the elementary
-    divisors directly; deterministic given that rule.
+    Eliminates one valuation layer at a time: at layer e the block
+    holds the unpivoted rows divided by p^e, modulo p^(N-e).  Each row
+    in turn pivots on its first unit mod p; the row, scaled to 1, is
+    cleared from the rows hit in the pivot column and then dropped.  A
+    scanned row without a unit keeps none, as it only loses multiples
+    of p.  With no unit left the block is divided by p.  Elementary
+    divisors do not depend on pivot order.  Each product is below
+    (p^N - 1)^2 < 2^63 (see _INT64_MODULUS_CAP).
     """
     q = p.p
-    m = q ** N
-    if m > _INT64_MODULUS_CAP:
-        raise ValueError(f"p^N = {m} too large for the dense int64 kernel")
-    A = np.atleast_2d(np.asarray(matrix, dtype=np.int64)) % m
-    if A.size == 0:
-        ncols = A.shape[1] if A.ndim == 2 else 0
-        return AbelianShape((), ncols, N)
-    rows, cols = A.shape
+    A = np.atleast_2d(np.asarray(matrix, dtype=np.int64)) % _int64_modulus(q, N)
+    cols = A.shape[1]
     exps = []
-    r = 0
-    top = min(rows, cols)
-    while r < top:
-        sub = A[r:, r:]
-        vals = _valuations(sub, q, N)
-        e = int(vals.min())
-        if e >= N:
+    for e in range(N):
+        m = q ** (N - e)
+        A = A[A.any(axis=1)]
+        for i in range(A.shape[0]):
+            units = np.flatnonzero(A[i] % q)
+            if not units.size:
+                continue
+            j = units[0]
+            pivot_row = A[i] * pow(int(A[i, j]), -1, m) % m
+            A[i] = 0
+            hit = np.flatnonzero(A[:, j])
+            A[hit] = (A[hit] - A[hit, j][:, None] * pivot_row) % m
+            exps.append(e)
+        if len(exps) == cols:
             break
-        i, j = map(int, np.argwhere(vals == e)[0])
-        if i:
-            A[[r, r + i], :] = A[[r + i, r], :]
-        if j:
-            A[:, [r, r + j]] = A[:, [r + j, r]]
-        pe = q ** e
-        u = int(A[r, r]) // pe
-        inv = pow(u, -1, m)
-        A[r, r:] = (A[r, r:] * inv) % m
-        # entries below the pivot all have valuation >= e, so the
-        # canonical representatives are exactly divisible by p^e
-        c = A[r + 1:, r] // pe
-        A[r + 1:, r:] = (A[r + 1:, r:] - c[:, None] * A[r, r:]) % m
-        # column operations clearing row r only touch row r, as the
-        # pivot column is now zero below the pivot
-        A[r, r + 1:] = 0
-        exps.append(e)
-        r += 1
-    torsion = tuple(sorted(e for e in exps if e >= 1))
+        A //= q
+    torsion = tuple(e for e in exps if e >= 1)
     return AbelianShape(torsion, cols - len(exps), N)
 
 
@@ -217,9 +208,7 @@ def coinvariants(
         )
     if not M.relations:
         return AbelianShape((), basis, N)
-    m = p ** N
-    if m > _INT64_MODULUS_CAP:
-        raise ValueError(f"p^N = {m} too large for the dense int64 kernel")
+    m = _int64_modulus(p, N)
     max_deg = [0] * d
     for row in M.relations:
         for entry in row:
@@ -229,24 +218,30 @@ def coinvariants(
     red = [_reduction_table(p, N, n, max_deg[j] + 1) for j in range(d)]
     multipliers = list(np.ndindex(*([q] * d)))
     nrows = len(M.relations) * len(multipliers)
-    A = np.zeros((nrows, basis), dtype=np.int64)
     block = q ** d
-    row_idx = 0
-    for rel in M.relations:
-        for a in multipliers:
-            out = A[row_idx]
-            for gi, entry in enumerate(rel):
-                if entry.is_zero():
-                    continue
-                seg = np.zeros(block, dtype=np.int64)
-                for exps, c in entry.coefficients.items():
-                    vec = red[0][a[0] + exps[0]]
-                    for j in range(1, d):
-                        vec = np.multiply.outer(vec, red[j][a[j] + exps[j]]).ravel() % m
-                    seg = (seg + c * vec) % m
-                out[gi * block:(gi + 1) * block] = seg
-            row_idx += 1
-    return snf(A, ctx.p, N)
+    try:
+        A = np.zeros((nrows, basis), dtype=np.int64)
+        row_idx = 0
+        for rel in M.relations:
+            for a in multipliers:
+                out = A[row_idx]
+                for gi, entry in enumerate(rel):
+                    if entry.is_zero():
+                        continue
+                    seg = np.zeros(block, dtype=np.int64)
+                    for exps, c in entry.coefficients.items():
+                        vec = red[0][a[0] + exps[0]]
+                        for j in range(1, d):
+                            vec = np.multiply.outer(vec, red[j][a[j] + exps[j]]).ravel() % m
+                        seg = (seg + c * vec) % m
+                    out[gi * block:(gi + 1) * block] = seg
+                row_idx += 1
+        return snf(A, ctx.p, N)
+    except MemoryError as exc:
+        raise DimensionOverflow(
+            f"the {nrows} x {basis} relation matrix ({8 * nrows * basis} bytes)"
+            " does not fit in memory"
+        ) from exc
 
 
 def partial_coinvariants(
@@ -315,7 +310,6 @@ def tower(
     n_max: int,
     guard: int = DEFAULT_GUARD,
     dimension_bound: int = DEFAULT_DIMENSION_BOUND,
-    workers: int = 1,
 ) -> list:
     """Coinvariant measurements for n = 0..n_max.  Levels are
     independent pure computations; per-level failures are recorded as
@@ -339,11 +333,7 @@ def tower(
             flags,
         )
 
-    ns = range(n_max + 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(level, ns))
-    return [level(n) for n in ns]
+    return [level(n) for n in range(n_max + 1)]
 
 
 # ------------------------------------------------------------------

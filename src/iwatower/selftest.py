@@ -109,7 +109,6 @@ def _check_snf_oracle(rng, out):
         matrix = [[rng.randrange(0, p ** N) for _ in range(k)] for _ in range(k)]
         shape = snf(matrix, prime, N)
         mine = sorted(list(shape.torsion_exponents) + [N] * shape.free_rank_at_precision)
-        mine = [e for e in mine]
         # include the zero exponents snf drops
         mine = sorted([0] * (k - len(mine)) + mine)
         theirs = _oracle_shape_exponents(matrix, p, N)

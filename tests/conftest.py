@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from iwatower import ModulePresentation, Prime, PrecisionContext, SeriesElement
+from iwatower import AbelianShape, ModulePresentation, Prime, PrecisionContext, SeriesElement
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +39,59 @@ def split_module(ctx, mu, root_units):
     for a in root_units:
         f = f * poly(ctx, [-p * a, 1])
     return ModulePresentation(ctx, 1, ((f,),))
+
+
+def _valuations(sub, p, N):
+    vals = np.full(sub.shape, N, dtype=np.int64)
+    t = sub.copy()
+    active = t != 0
+    cur = 0
+    while active.any() and cur < N:
+        nondiv = active & (t % p != 0)
+        vals[nondiv] = cur
+        active &= ~nondiv
+        t[active] //= p
+        cur += 1
+    return vals
+
+
+def reference_snf(matrix, p, N):
+    """Test oracle for `snf`: an independent kernel that pivots on the
+    minimal p-valuation of the whole remaining block (first occurrence
+    in row-major order) with a full rank-1 update below each pivot."""
+    q = p.p
+    m = q ** N
+    A = np.atleast_2d(np.asarray(matrix, dtype=np.int64)) % m
+    if A.size == 0:
+        ncols = A.shape[1] if A.ndim == 2 else 0
+        return AbelianShape((), ncols, N)
+    rows, cols = A.shape
+    exps = []
+    r = 0
+    top = min(rows, cols)
+    while r < top:
+        sub = A[r:, r:]
+        vals = _valuations(sub, q, N)
+        e = int(vals.min())
+        if e >= N:
+            break
+        i, j = map(int, np.argwhere(vals == e)[0])
+        if i:
+            A[[r, r + i], :] = A[[r + i, r], :]
+        if j:
+            A[:, [r, r + j]] = A[:, [r + j, r]]
+        pe = q ** e
+        u = int(A[r, r]) // pe
+        inv = pow(u, -1, m)
+        A[r, r:] = (A[r, r:] * inv) % m
+        # entries below the pivot all have valuation >= e, so the
+        # canonical representatives are exactly divisible by p^e
+        c = A[r + 1:, r] // pe
+        A[r + 1:, r:] = (A[r + 1:, r:] - c[:, None] * A[r, r:]) % m
+        # column operations clearing row r only touch row r, as the
+        # pivot column is now zero below the pivot
+        A[r, r + 1:] = 0
+        exps.append(e)
+        r += 1
+    torsion = tuple(sorted(e for e in exps if e >= 1))
+    return AbelianShape(torsion, cols - len(exps), N)

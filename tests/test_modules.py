@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
-import sympy
-from sympy.matrices.normalforms import smith_normal_form
 
+import iwatower
 from iwatower import (
     DimensionOverflow,
     PrecisionExhausted,
@@ -18,28 +22,41 @@ from iwatower import (
     torsion_size_resultant_oracle,
     tower,
 )
+from iwatower.selftest import _oracle_shape_exponents as oracle_exponents
 
-from conftest import cyclic_module, poly, split_module
+from conftest import cyclic_module, poly, reference_snf, split_module
 
 
-def oracle_exponents(matrix, p, N):
-    """Independent cokernel computation: integer Smith normal form of
-    the rows stacked with p^N times the identity."""
-    rows = [list(r) for r in matrix]
-    cols = len(rows[0])
-    stacked = sympy.Matrix(
-        rows + [[p**N if i == j else 0 for j in range(cols)] for i in range(cols)]
-    )
-    d = smith_normal_form(stacked)
-    out = []
-    for i in range(cols):
-        x = abs(int(d[i, i]))
-        e = 0
-        while x % p == 0:
-            x //= p
-            e += 1
-        out.append(min(e, N))
-    return sorted(out)
+SNF_KINDS = ("dense", "low_rank", "p_divisible", "tall_sparse", "zero_rows", "no_rows", "n_equals_1")
+
+
+def snf_inputs(kind, count=8):
+    """Seeded (matrix, p, N) inputs of one kind, small enough for the
+    sympy oracle.  `tall_sparse` rows are e_a - e_b, like the group-ring
+    difference rows."""
+    rng = np.random.default_rng(SNF_KINDS.index(kind))
+    for _ in range(count):
+        p = int(rng.choice([3, 5, 7]))
+        N = 1 if kind == "n_equals_1" else int(rng.integers(1, 9))
+        m = p**N
+        rows, cols = (int(x) for x in rng.integers(1, 13, size=2))
+        A = rng.integers(0, m, (rows, cols))
+        if kind == "low_rank":
+            r = int(rng.integers(0, 4))
+            A = rng.integers(0, m, (rows, r)) @ rng.integers(0, m, (r, cols)) % m
+        elif kind == "p_divisible":
+            A = A * p ** rng.integers(0, N + 1, (rows, cols)) % m
+        elif kind == "tall_sparse":
+            cols = min(cols, 8)
+            A = np.zeros((4 * cols, cols), dtype=np.int64)
+            for row in A:
+                row[rng.integers(cols)] += 1
+                row[rng.integers(cols)] -= 1
+        elif kind == "zero_rows":
+            A[rng.random(rows) < 0.5] = 0
+        elif kind == "no_rows":
+            A = A[:0]
+        yield A, Prime(p), N
 
 
 def full_profile(shape, k):
@@ -73,35 +90,55 @@ class TestSnf:
             shape = snf(matrix, Prime(p), N)
             assert full_profile(shape, k) == oracle_exponents(matrix, p, N)
 
+    @pytest.mark.parametrize("kind", SNF_KINDS)
+    def test_matches_reference_kernels(self, kind):
+        for A, p, N in snf_inputs(kind):
+            shape = snf(A, p, N)
+            assert shape == reference_snf(A, p, N)
+            # the sympy oracle needs a row; no rows and one zero row
+            # present the same cokernel
+            rows = A if len(A) else np.zeros((1, A.shape[1]), dtype=np.int64)
+            assert full_profile(shape, A.shape[1]) == oracle_exponents(rows.tolist(), p.p, N)
+
     def test_permutation_invariance(self):
-        rng = random.Random(23)
-        p, N = 3, 6
-        for _ in range(10):
-            k = 4
-            matrix = np.array(
-                [[rng.randrange(0, p**N) for _ in range(k)] for _ in range(k)]
-            )
-            base = snf(matrix, Prime(p), N)
-            rp = rng.sample(range(k), k)
-            cp = rng.sample(range(k), k)
-            shuffled = matrix[np.ix_(rp, cp)]
-            assert snf(shuffled, Prime(p), N) == base
+        rng = np.random.default_rng(23)
+        for kind in SNF_KINDS:
+            for matrix, p, N in snf_inputs(kind):
+                base = snf(matrix, p, N)
+                rp = rng.permutation(matrix.shape[0])
+                cp = rng.permutation(matrix.shape[1])
+                assert snf(matrix[np.ix_(rp, cp)], p, N) == base
 
     def test_unimodular_row_operations(self):
-        rng = random.Random(29)
-        p, N = 3, 5
-        for _ in range(10):
-            k = 4
-            matrix = np.array(
-                [[rng.randrange(0, p**N) for _ in range(k)] for _ in range(k)],
-                dtype=np.int64,
-            )
-            base = snf(matrix, Prime(p), N)
-            i, j = rng.sample(range(k), 2)
-            c = rng.randrange(1, p**N)
-            modified = matrix.copy()
-            modified[i] = (modified[i] + c * modified[j]) % p**N
-            assert snf(modified, Prime(p), N) == base
+        rng = np.random.default_rng(29)
+        for kind in SNF_KINDS:
+            for matrix, p, N in snf_inputs(kind):
+                if len(matrix) < 2:
+                    continue
+                base = snf(matrix, p, N)
+                i, j = rng.choice(len(matrix), 2, replace=False)
+                modified = matrix.copy()
+                modified[i] = (modified[i] + int(rng.integers(1, p.p**N)) * modified[j]) % p.p**N
+                assert snf(modified, p, N) == base
+
+    @pytest.mark.parametrize("p, n_max", [(3, 19), (5, 13), (7, 11)])
+    def test_int64_modulus_cap(self, p, n_max):
+        # at the cap: residues near p^N, and U diag(1, p^3, p^(N-1), 0) V
+        # with big-integer U, V, so the updates see products near 2^63
+        m = p**n_max
+        rng = random.Random(p)
+        near = [[m - rng.randrange(1, 100) for _ in range(4)] for _ in range(4)]
+        U, V = ([[rng.randrange(m) for _ in range(4)] for _ in range(4)] for _ in range(2))
+        diag = [1, p**3, p ** (n_max - 1), 0]
+        UDV = [
+            [sum(U[i][k] * diag[k] * V[k][j] for k in range(4)) % m for j in range(4)]
+            for i in range(4)
+        ]
+        for matrix in (near, UDV):
+            shape = snf(matrix, Prime(p), n_max)
+            assert full_profile(shape, 4) == oracle_exponents(matrix, p, n_max)
+        with pytest.raises(ValueError, match=rf"3037000499.*N <= {n_max}"):
+            snf(near, Prime(p), n_max + 1)
 
     def test_log_mod_pn(self):
         shape = snf([[3, 0], [0, 27]], Prime(3), 6)
@@ -177,9 +214,32 @@ class TestTower:
         data = tower(M, 5, dimension_bound=30)
         assert data[4].flags == ("DimensionOverflow",)
 
-    def test_workers_match_serial(self, ctx3):
-        M = cyclic_module(ctx3, [-3, 1])
-        assert tower(M, 3, workers=3) == tower(M, 3)
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs Linux RLIMIT_AS")
+    def test_memory_error_flagged(self, tmp_path):
+        # diag(T1 - p) on 3 generators at d = 2: basis 19,683 at n = 4,
+        # within DEFAULT_DIMENSION_BOUND, but its 3 GB matrix cannot be
+        # allocated under 1 GiB of address space beyond the imports
+        module = tmp_path / "diag.txt"
+        module.write_text(
+            "p: 3\nN: 8\nd: 2\nD: 30\ngenerators: 3\n"
+            "relation: T1 - p; 0; 0\nrelation: 0; T1 - p; 0\nrelation: 0; 0; T1 - p\n"
+        )
+        script = textwrap.dedent(f"""
+            import resource, sys
+            from iwatower.cli import main
+            size = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (size + 2**30, hard))
+            sys.exit(main(["tower", {str(module)!r}, "--n-max", "4"]))
+        """)
+        src = str(Path(iwatower.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "4\t0\t0\t0\tDimensionOverflow"
 
 
 class TestResultantOracle:
