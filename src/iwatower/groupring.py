@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 from .errors import GroupTooLarge, HypothesisViolated
 from .modules import AbelianShape, snf
 from .padic import Prime
@@ -289,10 +287,7 @@ class FiniteGroupRingModule:
         rows = self._base_rows() + list(extra_rows)
         if not rows:
             return AbelianShape((), self.basis_size, self.N)
-        mat = np.zeros((len(rows), self.basis_size), dtype=np.int64)
-        for i, row in enumerate(rows):
-            mat[i] = row
-        return snf(mat, self.p, self.N)
+        return snf(rows, self.p, self.N)
 
     def shape(self) -> AbelianShape:
         return self.shape_of([])

@@ -2,9 +2,13 @@
 algebra: coinvariants at tower levels, Smith normal form over Z/p^N,
 and the independent resultant oracle for one-variable torsion sizes.
 
-The coinvariant computation works on the monomial basis modulo the
-level-n elements (1+T_j)^{p^n} - 1, which are monic, so reduction is
-exact Euclidean division per variable (no Groebner machinery).  The
+Coinvariants work on the monomial basis modulo the level-n elements
+(1+T_j)^{p^n} - 1.  These are monic in distinct variables, so a
+monomial reduces one variable at a time through one table of reduced
+powers T^e, shared by all variables.  A term c*T^e times every
+multiplier T^a is then one block: c times the Kronecker product of the
+table slices red[e_j : e_j + p^n] (no Groebner machinery).  The full
+and the partial coinvariants are both built from these blocks.  The
 Smith normal form eliminates one p-adic valuation layer at a time
 (Cohen, GTM 138, section 2.4) in numpy int64 arithmetic, which needs
 p^N <= floor(sqrt(2^63 - 1)).
@@ -12,8 +16,7 @@ p^N <= floor(sqrt(2^63 - 1)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import comb
+from dataclasses import dataclass
 
 import numpy as np
 import sympy
@@ -170,23 +173,63 @@ def snf(matrix, p: Prime, N: int) -> AbelianShape:
 # ------------------------------------------------------------------
 
 
-def _reduction_table(p: int, N: int, n: int, max_extra: int) -> np.ndarray:
-    """red[e] = dense coefficient vector (length p^n) of T^e reduced
-    modulo (1+T)^{p^n} - 1, for e < p^n + max_extra."""
+def _reduction_table(p: int, N: int, n: int, size: int) -> np.ndarray:
+    """red[e] = coefficients mod p^N of T^e reduced modulo the level
+    element (1+T)^{p^n} - 1, for e < size: the identity below p^n, then
+    T^e = T * T^(e-1) with T^(p^n) = -sum_{0<i<p^n} C(p^n, i) T^i."""
     q = p ** n
     m = p ** N
-    size = q + max_extra
+    w = np.array([-c % m for c in omega_int_coeffs(p, n)[:q]], dtype=np.int64)
     red = np.zeros((size, q), dtype=np.int64)
-    for e in range(min(q, size)):
-        red[e, e] = 1
-    w = [(-comb(q, i)) % m for i in range(1, q)]  # T^q = -sum_i C(q,i) T^i
+    red[:q] = np.eye(q, dtype=np.int64)
     for e in range(q, size):
-        acc = np.zeros(q, dtype=np.int64)
-        for i, c in enumerate(w, start=1):
-            if c:
-                acc = (acc + c * red[e - q + i]) % m
-        red[e] = acc
+        red[e, 1:] = red[e - 1, :-1]
+        red[e] = (red[e] + red[e - 1, -1] * w) % m
     return red
+
+
+def _level_terms(M: ModulePresentation, n: int, variables):
+    """Reduce the terms of M modulo the level-n elements of `variables`.
+    For each term c*T^e of entry (relation i, generator g) yields
+    (i, g, the exponents of e outside `variables`, block).  Row a of the
+    block is c*T^(a+e) reduced, on the columns T^b; a and b run over the
+    exponents < p^n in `variables`, in np.ndindex order.  The block is c
+    times the Kronecker product of the slices red[e_v : e_v + p^n], mod
+    p^N.  Blocks are full size, so a consumer holds one at a time."""
+    ctx = M.context
+    p, N = ctx.p.p, ctx.N
+    m = _int64_modulus(p, N)
+    q = p ** n
+    keep = [j for j in range(ctx.d) if j not in variables]
+    top = max(
+        (exps[v] for row in M.relations for entry in row
+         for exps in entry.coefficients for v in variables),
+        default=0,
+    )
+    red = _reduction_table(p, N, n, q + top)
+    for i, row in enumerate(M.relations):
+        for g, entry in enumerate(row):
+            for exps, c in entry.coefficients.items():
+                block = np.full((1, 1), c, dtype=np.int64)
+                for v in variables:
+                    block = np.kron(block, red[exps[v]:exps[v] + q])
+                    block %= m
+                yield i, g, tuple(exps[j] for j in keep), block
+
+
+def _relation_matrix(M: ModulePresentation, n: int) -> np.ndarray:
+    """The level-n relation matrix on the monomial basis: row
+    (relation, multiplier T^a), column (generator, monomial T^b)."""
+    ctx = M.context
+    b = ctx.p.p ** (n * ctx.d)
+    A = np.zeros((len(M.relations) * b, M.generators * b), dtype=np.int64)
+    for i, g, _, block in _level_terms(M, n, range(ctx.d)):
+        # each block is < p^N <= 2^63 / _INT64_MODULUS_CAP, so the blocks
+        # of an entry with fewer than 3 * 10^9 terms sum within int64
+        A[i * b:(i + 1) * b, g * b:(g + 1) * b] += block
+        del block  # free it before the next block is built
+    A %= ctx.modulus
+    return A
 
 
 def coinvariants(
@@ -199,44 +242,17 @@ def coinvariants(
     (1+T_j)^{p^n} - 1 acting on every generator, computed on the
     monomial basis with exponents < p^n per variable."""
     ctx = M.context
-    p, N, d = ctx.p.p, ctx.N, ctx.d
-    q = p ** n
-    basis = M.generators * q ** d
+    b = ctx.p.p ** (n * ctx.d)
+    basis = M.generators * b
     if basis > dimension_bound:
         raise DimensionOverflow(
             f"basis size {basis} exceeds bound {dimension_bound}"
         )
     if not M.relations:
-        return AbelianShape((), basis, N)
-    m = _int64_modulus(p, N)
-    max_deg = [0] * d
-    for row in M.relations:
-        for entry in row:
-            for exps in entry.coefficients:
-                for j in range(d):
-                    max_deg[j] = max(max_deg[j], exps[j])
-    red = [_reduction_table(p, N, n, max_deg[j] + 1) for j in range(d)]
-    multipliers = list(np.ndindex(*([q] * d)))
-    nrows = len(M.relations) * len(multipliers)
-    block = q ** d
+        return AbelianShape((), basis, ctx.N)
+    nrows = len(M.relations) * b
     try:
-        A = np.zeros((nrows, basis), dtype=np.int64)
-        row_idx = 0
-        for rel in M.relations:
-            for a in multipliers:
-                out = A[row_idx]
-                for gi, entry in enumerate(rel):
-                    if entry.is_zero():
-                        continue
-                    seg = np.zeros(block, dtype=np.int64)
-                    for exps, c in entry.coefficients.items():
-                        vec = red[0][a[0] + exps[0]]
-                        for j in range(1, d):
-                            vec = np.multiply.outer(vec, red[j][a[j] + exps[j]]).ravel() % m
-                        seg = (seg + c * vec) % m
-                    out[gi * block:(gi + 1) * block] = seg
-                row_idx += 1
-        return snf(A, ctx.p, N)
+        return snf(_relation_matrix(M, n), ctx.p, ctx.N)
     except MemoryError as exc:
         raise DimensionOverflow(
             f"the {nrows} x {basis} relation matrix ({8 * nrows * basis} bytes)"
@@ -257,52 +273,29 @@ def partial_coinvariants(
     Needed for coinvariants along an inner factor of the tower group.
     """
     ctx = M.context
-    p, N, d, D = ctx.p.p, ctx.N, ctx.d, ctx.D
+    d = ctx.d
     variables = sorted(set(variables))
     if any(v < 0 or v >= d for v in variables):
         raise ValueError("variable index out of range")
     if len(variables) >= d:
         raise ValueError("use coinvariants() to eliminate all variables")
-    keep = [j for j in range(d) if j not in variables]
-    q = p ** n
-    s = len(variables)
-    new_gens = M.generators * q ** s
+    b = ctx.p.p ** (n * len(variables))
+    new_gens = M.generators * b
     if new_gens > dimension_bound:
-        raise DimensionOverflow(f"generator count {new_gens} exceeds bound")
-    new_ctx = PrecisionContext(ctx.p, N, len(keep), D)
-    max_deg = {v: 0 for v in variables}
-    for row in M.relations:
-        for entry in row:
-            for exps in entry.coefficients:
-                for v in variables:
-                    max_deg[v] = max(max_deg[v], exps[v])
-    red = {v: _reduction_table(p, N, n, max_deg[v] + 1) for v in variables}
-    elim_monos = list(np.ndindex(*([q] * s)))
-    mono_index = {mo: idx for idx, mo in enumerate(elim_monos)}
-    new_relations = []
-    for rel in M.relations:
-        for a in elim_monos:
-            # coefficient dicts for each new generator column
-            cols = [dict() for _ in range(new_gens)]
-            for gi, entry in enumerate(rel):
-                for exps, c in entry.coefficients.items():
-                    vec = None
-                    for vi, v in enumerate(variables):
-                        r = red[v][a[vi] + exps[v]]
-                        vec = r if vec is None else np.multiply.outer(vec, r).ravel() % (p ** N)
-                    rem_exps = tuple(exps[j] for j in keep)
-                    vec = vec.reshape([q] * s)
-                    for mo in np.argwhere(vec):
-                        mo = tuple(int(x) for x in mo)
-                        col = gi * (q ** s) + mono_index[mo]
-                        coeffs = cols[col]
-                        coeffs[rem_exps] = coeffs.get(rem_exps, 0) + int(vec[mo]) * c
-            row_out = []
-            for coeffs in cols:
-                scaled = {e: v for e, v in coeffs.items()}
-                row_out.append(SeriesElement(new_ctx, scaled))
-            new_relations.append(tuple(row_out))
-    return ModulePresentation(new_ctx, new_gens, tuple(new_relations))
+        raise DimensionOverflow(
+            f"generator count {new_gens} exceeds bound {dimension_bound}"
+        )
+    new_ctx = PrecisionContext(ctx.p, ctx.N, d - len(variables), ctx.D)
+    # rows[relation, multiplier][generator, monomial]: kept exponents -> coefficient
+    rows = [[{} for _ in range(new_gens)] for _ in range(len(M.relations) * b)]
+    for i, g, kept, block in _level_terms(M, n, variables):
+        for a, mono in zip(*np.nonzero(block)):
+            coeffs = rows[i * b + a][g * b + mono]
+            coeffs[kept] = coeffs.get(kept, 0) + int(block[a, mono])
+    new_relations = tuple(
+        tuple(SeriesElement(new_ctx, coeffs) for coeffs in row) for row in rows
+    )
+    return ModulePresentation(new_ctx, new_gens, new_relations)
 
 
 def tower(

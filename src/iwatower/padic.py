@@ -13,7 +13,13 @@ from math import gcd
 
 from sympy import isprime
 
-from .errors import HypothesisViolated, OddPrimeRequired, ResidueCharacteristicP, ZeroInput
+from .errors import (
+    HypothesisViolated,
+    IwatowerError,
+    OddPrimeRequired,
+    ResidueCharacteristicP,
+    ZeroInput,
+)
 
 #: Largest n for which checked mode verifies the closed form by exact
 #: exponentiation.  Beyond this the closed form is still returned (the
@@ -72,7 +78,8 @@ def valuation_tower(b: int, p: Prime, n: int, checked: bool = True) -> int:
     value = a + n
     if checked and n <= CHECKED_TOWER_BOUND:
         direct = ord_p(pow(b, p.p ** n) - 1, p)
-        assert direct == value, f"tower lemma violated: {direct} != {value}"
+        if direct != value:
+            raise IwatowerError(f"tower lemma violated: {direct} != {value}")
     return value
 
 

@@ -17,6 +17,7 @@ from math import comb
 from .errors import (
     ContextMismatch,
     DegreeOverflow,
+    IwatowerError,
     NotSquare,
     PrecisionExhausted,
 )
@@ -367,7 +368,8 @@ def weierstrass_prepare(f: SeriesElement, guard: int = 1) -> WeierstrassForm:
         du = q * u
         g = g + dg
         u = u + du
-    assert (f1 - g * u).is_zero(), "Hensel lifting failed to converge"
+    if not (f1 - g * u).is_zero():
+        raise IwatowerError("Hensel lifting failed to converge")
     return WeierstrassForm(mu=mu, distinguished=g, unit=u, lam=lam, effective_precision=eff)
 
 

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -95,3 +97,58 @@ def reference_snf(matrix, p, N):
         r += 1
     torsion = tuple(sorted(e for e in exps if e >= 1))
     return AbelianShape(torsion, cols - len(exps), N)
+
+
+def _euclidean_reduction_table(p, N, n, max_extra):
+    """red[e] = T^e reduced modulo (1+T)^{p^n} - 1 by Euclidean division,
+    for e < p^n + max_extra."""
+    q = p ** n
+    m = p ** N
+    size = q + max_extra
+    red = np.zeros((size, q), dtype=np.int64)
+    for e in range(min(q, size)):
+        red[e, e] = 1
+    w = [(-comb(q, i)) % m for i in range(1, q)]  # T^q = -sum_i C(q,i) T^i
+    for e in range(q, size):
+        acc = np.zeros(q, dtype=np.int64)
+        for i, c in enumerate(w, start=1):
+            if c:
+                acc = (acc + c * red[e - q + i]) % m
+        red[e] = acc
+    return red
+
+
+def reference_relation_matrix(M, n):
+    """Test oracle for `modules._relation_matrix`: builds each row
+    (relation, multiplier T^a) by multiplying out every term's reduced
+    monomials, one multiplier at a time."""
+    ctx = M.context
+    p, N, d = ctx.p.p, ctx.N, ctx.d
+    m = p ** N
+    q = p ** n
+    block = q ** d
+    max_deg = [0] * d
+    for row in M.relations:
+        for entry in row:
+            for exps in entry.coefficients:
+                for j in range(d):
+                    max_deg[j] = max(max_deg[j], exps[j])
+    red = [_euclidean_reduction_table(p, N, n, max_deg[j] + 1) for j in range(d)]
+    multipliers = list(np.ndindex(*([q] * d)))
+    A = np.zeros((len(M.relations) * len(multipliers), M.generators * block), dtype=np.int64)
+    row_idx = 0
+    for rel in M.relations:
+        for a in multipliers:
+            out = A[row_idx]
+            for gi, entry in enumerate(rel):
+                if entry.is_zero():
+                    continue
+                seg = np.zeros(block, dtype=np.int64)
+                for exps, c in entry.coefficients.items():
+                    vec = red[0][a[0] + exps[0]]
+                    for j in range(1, d):
+                        vec = np.multiply.outer(vec, red[j][a[j] + exps[j]]).ravel() % m
+                    seg = (seg + c * vec) % m
+                out[gi * block:(gi + 1) * block] = seg
+            row_idx += 1
+    return A

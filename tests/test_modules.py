@@ -22,9 +22,10 @@ from iwatower import (
     torsion_size_resultant_oracle,
     tower,
 )
+from iwatower.modules import _relation_matrix
 from iwatower.selftest import _oracle_shape_exponents as oracle_exponents
 
-from conftest import cyclic_module, poly, reference_snf, split_module
+from conftest import cyclic_module, poly, reference_relation_matrix, reference_snf, split_module
 
 
 SNF_KINDS = ("dense", "low_rank", "p_divisible", "tall_sparse", "zero_rows", "no_rows", "n_equals_1")
@@ -183,6 +184,30 @@ class TestCoinvariants:
         with pytest.raises(DimensionOverflow):
             coinvariants(M, 2, dimension_bound=5)
 
+    def test_relation_matrix_matches_reference(self):
+        # seeded modules with zero entries and terms of degree >= p^n,
+        # up to d = 3 and 3 generators
+        rng = random.Random(53)
+        for _ in range(60):
+            d, k, p = rng.randrange(1, 4), rng.randrange(1, 4), rng.choice([3, 5])
+            n = rng.randrange(0, 3 if d == 1 else 2)
+            ctx = PrecisionContext(Prime(p), rng.randrange(2, 9), d, 30)
+            q = p**n
+
+            def entry():
+                if rng.random() < 0.3:
+                    return SeriesElement.zero(ctx)
+                return SeriesElement(ctx, {
+                    tuple(rng.randrange(0, q + 3) for _ in range(d)): rng.randrange(ctx.modulus)
+                    for _ in range(rng.randrange(1, 4))
+                })
+
+            relations = tuple(
+                tuple(entry() for _ in range(k)) for _ in range(rng.randrange(0, 4))
+            )
+            M = ModulePresentation(ctx, k, relations)
+            assert np.array_equal(_relation_matrix(M, n), reference_relation_matrix(M, n))
+
 
 class TestTower:
     def test_linear_relation(self, ctx3):
@@ -291,9 +316,39 @@ class TestPartialCoinvariants:
                 shape = coinvariants(reduced, 0)
                 assert shape.zp_rank == s * 3**n
 
-    def test_matches_full_coinvariants(self, ctx3_d2):
+    def test_matches_full_coinvariants(self, p3, ctx3_d2):
         f = SeriesElement(ctx3_d2, {(1, 0): 1, (0, 0): -3})
-        M = ModulePresentation(ctx3_d2, 1, ((f,),))
-        for n in (0, 1):
-            reduced = partial_coinvariants(M, n, [0])
-            assert coinvariants(reduced, n) == coinvariants(M, n)
+        ctx3_d3 = PrecisionContext(p3, 8, 3, 30)
+        g = SeriesElement(ctx3_d3, {(1, 0, 0): 1, (0, 1, 1): 2, (0, 0, 4): 1, (0, 0, 0): -3})
+        h = SeriesElement(ctx3_d3, {(0, 2, 0): 3, (1, 0, 1): 1})
+        zero = SeriesElement.zero(ctx3_d3)
+        cases = [
+            (ModulePresentation(ctx3_d2, 1, ((f,),)), [[0]]),
+            (ModulePresentation(ctx3_d3, 2, ((g, h), (zero, g))), [[0], [2], [0, 1], [1, 2]]),
+        ]
+        for M, subsets in cases:
+            for n in (0, 1):
+                full = coinvariants(M, n)
+                for variables in subsets:
+                    assert coinvariants(partial_coinvariants(M, n, variables), n) == full
+
+    def test_dimension_bound(self, ctx3_d2):
+        M = ModulePresentation(ctx3_d2, 2, ())
+        with pytest.raises(DimensionOverflow, match="18 exceeds bound 10"):
+            partial_coinvariants(M, 2, [0], dimension_bound=10)
+
+    def test_int64_modulus_cap(self, p3):
+        # 3^20 is above the int64 cap: it raises rather than overflow;
+        # 3^19 is at the cap and agrees with N = 12 mod 3^12
+        def reduced(N):
+            ctx = PrecisionContext(p3, N, 2, 30)
+            f = SeriesElement(ctx, {(2, 1): 5, (1, 0): 1, (0, 0): -3 * 7})
+            return partial_coinvariants(ModulePresentation(ctx, 1, ((f,),)), 3, [0])
+
+        with pytest.raises(ValueError, match=r"3037000499.*N <= 19"):
+            reduced(20)
+        low, high = reduced(12), reduced(19)
+        assert high.generators == low.generators == 27
+        for row_low, row_high in zip(low.relations, high.relations, strict=True):
+            for lo, hi in zip(row_low, row_high, strict=True):
+                assert SeriesElement(low.context, hi.coefficients) == lo

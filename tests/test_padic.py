@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import iwatower.padic
 from iwatower import (
     HypothesisViolated,
+    IwatowerError,
     OddPrimeRequired,
     Prime,
     ResidueCharacteristicP,
@@ -75,6 +77,12 @@ class TestValuationTower:
     def test_p2_rejected(self):
         with pytest.raises(OddPrimeRequired):
             valuation_tower(3, Prime(2), 1)
+
+    def test_lemma_violation_raises(self, monkeypatch):
+        # b^(p^n) replaced by b: the checked value disagrees with a + n
+        monkeypatch.setattr(iwatower.padic, "pow", lambda b, e: b, raising=False)
+        with pytest.raises(IwatowerError, match="tower lemma violated"):
+            valuation_tower(4, Prime(3), 2)
 
     @given(
         p=st.sampled_from([3, 5, 7]),

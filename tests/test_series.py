@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+import iwatower.series
 from iwatower import (
     ContextMismatch,
     DegreeOverflow,
+    IwatowerError,
     NotSquare,
     PrecisionExhausted,
     Prime,
@@ -136,6 +138,15 @@ class TestWeierstrassPrepare:
         f = poly(ctx, [0, 27])  # content 3 >= N - guard
         with pytest.raises(PrecisionExhausted):
             weierstrass_prepare(f)
+
+    def test_hensel_failure_raises(self, p3, monkeypatch):
+        # a lifting step that never corrects g leaves the error nonzero
+        ctx = PrecisionContext(p3, 6, 1, 16)
+        monkeypatch.setattr(
+            iwatower.series, "_divmod_monic", lambda w, g: (SeriesElement.zero(w.context),) * 2
+        )
+        with pytest.raises(IwatowerError, match="Hensel"):
+            weierstrass_prepare(poly(ctx, [3, 1, 1]))
 
     def test_roundtrip_randomized(self, ctx3):
         rng = random.Random(11)
