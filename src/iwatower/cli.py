@@ -10,6 +10,7 @@ Exit-code contract (fixed so shell pipelines can branch):
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import (
@@ -30,7 +31,7 @@ from .formats import (
     parse_tower_tsv,
 )
 from .invariants import GrowthModel, exact_invariants_d1, fit_growth
-from .ktheory import BUILTIN_KTABLE, predict_growth, vanishing_propagation
+from .ktheory import BUILTIN_KTABLE, ExtensionDescriptor, predict_growth, vanishing_propagation
 from .modules import DEFAULT_DIMENSION_BOUND, DEFAULT_GUARD, tower
 from .padic import Prime
 from .selftest import DEFAULT_SEED, run_selftest
@@ -97,8 +98,6 @@ def cmd_vanishing(args) -> int:
     if args.descriptor:
         ext = parse_descriptor(_read(args.descriptor))
     else:
-        from .ktheory import ExtensionDescriptor
-
         ext = ExtensionDescriptor(kind="Zpd", d=2)
     cert = vanishing_propagation(matches[0], ext, Prime(args.p))
     lines = [
@@ -128,7 +127,10 @@ def cmd_selftest(args) -> int:
     return code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    `main` call; callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="iwatower",
         description=(

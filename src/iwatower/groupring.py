@@ -2,7 +2,15 @@
 augmentation-ideal quotients, subgroup coinvariants, and the fixed test
 corpus of small 3-groups.
 
-Everything is expanded on the abelian basis (generator, group element)
+A group is its multiplication table, a list of rows with table[a][b] the
+index of ab, and every group helper is a lookup in it: the subgroup
+generated by a set is the orbit of the identity under right
+multiplication by the set (in a finite group that orbit is closed under
+products and inverses), the inverse of x is the column where row x holds
+the identity, and a subgroup is normal when its set of conjugates
+g*u*g^-1 is inside it.
+
+Every module is expanded on the abelian basis (generator, group element)
 and resolved by Smith normal form over Z/p^N, so quotient orders are
 exact brute-force counts.
 """
@@ -21,8 +29,8 @@ DEFAULT_ORDER_CAP = 243
 
 class FiniteGroup:
     """Explicit finite group: elements 0..order-1 with a multiplication
-    table.  The table is checked to be a group (exhaustive
-    associativity, identity, inverses) at construction."""
+    table.  The table is checked to be a group (entries in range,
+    exhaustive associativity, identity, inverses) at construction."""
 
     def __init__(self, table, name: str = "G", order_cap: int = DEFAULT_ORDER_CAP):
         table = [list(row) for row in table]
@@ -31,6 +39,10 @@ class FiniteGroup:
             raise GroupTooLarge(f"order {n} exceeds cap {order_cap}")
         if any(len(row) != n for row in table):
             raise ValueError("multiplication table is not square")
+        for a, row in enumerate(table):
+            for b, x in enumerate(row):
+                if not 0 <= x < n:
+                    raise ValueError(f"table entry [{a}][{b}] = {x} is not an element 0..{n - 1}")
         self.table = table
         self.order = n
         self.name = name
@@ -45,14 +57,10 @@ class FiniteGroup:
         raise ValueError("no identity element")
 
     def _find_inverses(self):
-        inv = [None] * self.order
         e = self.identity
-        for x in range(self.order):
-            for y in range(self.order):
-                if self.table[x][y] == e and self.table[y][x] == e:
-                    inv[x] = y
-                    break
-            if inv[x] is None:
+        inv = [row.index(e) if e in row else None for row in self.table]
+        for x, y in enumerate(inv):
+            if y is None or self.table[y][x] != e:
                 raise ValueError(f"element {x} has no inverse")
         return inv
 
@@ -70,49 +78,24 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def power(self, a: int, k: int) -> int:
-        r = self.identity
-        for _ in range(k):
-            r = self.mul(r, a)
-        return r
-
     def closure(self, generators) -> frozenset:
-        """Subgroup generated by the given elements."""
-        seen = {self.identity}
-        frontier = set(generators) - seen
-        seen |= frontier
+        """Subgroup generated by the given elements: the orbit of the
+        identity under right multiplication by them."""
+        gens = set(generators)
+        seen, frontier = {self.identity}, {self.identity}
         while frontier:
-            new = set()
-            for a in seen:
-                for b in frontier:
-                    for c in (self.mul(a, b), self.mul(b, a)):
-                        if c not in seen:
-                            new.add(c)
-            seen |= new
-            frontier = new
+            frontier = {self.table[x][g] for x in frontier for g in gens} - seen
+            seen |= frontier
         return frozenset(seen)
 
     def is_normal(self, subgroup) -> bool:
-        sub = set(subgroup)
-        return all(
-            self.mul(self.mul(g, u), self.inverse[g]) in sub
-            for g in range(self.order)
-            for u in sub
-        )
+        sub = frozenset(subgroup)
+        return self.conjugates(sub) <= sub
 
     def conjugates(self, elements) -> frozenset:
         """All G-conjugates of the given elements."""
-        out = set()
-        for g in range(self.order):
-            gi = self.inverse[g]
-            for u in elements:
-                out.add(self.mul(self.mul(g, u), gi))
-        return frozenset(out)
-
-    def power_subgroup(self, subgroup, exponent: int) -> frozenset:
-        """Subgroup generated by the exponent-th powers of the given
-        subgroup's elements."""
-        return self.closure({self.power(u, exponent) for u in subgroup})
+        t, inv = self.table, self.inverse
+        return frozenset({t[t[g][u]][inv[g]] for g in range(self.order) for u in elements})
 
     def all_subgroups(self):
         """Every subgroup, by closing generator sets (order-capped
@@ -125,7 +108,7 @@ class FiniteGroup:
                 for x in range(self.order):
                     if x in sub:
                         continue
-                    bigger = self.closure(set(sub) | {x})
+                    bigger = self.closure(sub | {x})
                     if bigger not in subs:
                         new.add(bigger)
             subs |= new
@@ -231,8 +214,6 @@ class FiniteGroupRingModule:
     relations: tuple = ()
 
     def __post_init__(self):
-        if self.group.order % self.p.p != 0 and self.group.order != 1:
-            raise ValueError("group order must be a power of p")
         order = self.group.order
         while order % self.p.p == 0:
             order //= self.p.p

@@ -152,3 +152,22 @@ def reference_relation_matrix(M, n):
                 out[gi * block:(gi + 1) * block] = seg
             row_idx += 1
     return A
+
+
+def reference_closure(G, generators):
+    """Test oracle for `FiniteGroup.closure`: grows the generated set by
+    products on both sides of every element seen with every new one,
+    until no new element appears."""
+    seen = {G.identity}
+    frontier = set(generators) - seen
+    seen |= frontier
+    while frontier:
+        new = set()
+        for a in seen:
+            for b in frontier:
+                for c in (G.mul(a, b), G.mul(b, a)):
+                    if c not in seen:
+                        new.add(c)
+        seen |= new
+        frontier = new
+    return frozenset(seen)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from iwatower.cli import main
+import iwatower
+from iwatower.cli import build_parser, main
 
 
 MODULE_DOC = """\
@@ -182,9 +188,27 @@ class TestHeaderOverrides:
         assert "mu=0" in capsys.readouterr().out
 
 
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+
 class TestSelftest:
-    def test_report_pinned(self, capsys):
+    @pytest.mark.parametrize("optimize", [False, True], ids=["python", "python-O"])
+    def test_report_pinned(self, optimize, capsys):
         # the default-seed report, byte for byte: a change that alters
-        # every run alike still shows here
-        assert main(["selftest"]) == 0
-        assert capsys.readouterr().out == SELFTEST_REPORT
+        # every run alike still shows here; -O strips asserts, so a
+        # check the report relies on must not be one
+        if optimize:
+            src = str(Path(iwatower.__file__).parents[1])
+            proc = subprocess.run(
+                [sys.executable, "-O", "-m", "iwatower.cli", "selftest"],
+                capture_output=True, text=True, timeout=300,
+                env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+            )
+            assert proc.returncode == 0, proc.stderr
+            out = proc.stdout
+        else:
+            assert main(["selftest"]) == 0
+            out = capsys.readouterr().out
+        assert out == SELFTEST_REPORT

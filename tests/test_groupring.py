@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import pytest
 
 from iwatower import (
+    FiniteGroup,
     FiniteGroupRingModule,
     GroupTooLarge,
     HypothesisViolated,
@@ -15,6 +18,10 @@ from iwatower import (
     semidirect_c3_c9,
 )
 
+from conftest import reference_closure
+
+CORPUS = {G.name: G for G, _, _ in corpus_groups(3)}
+
 
 class TestFiniteGroup:
     def test_cyclic(self):
@@ -25,14 +32,15 @@ class TestFiniteGroup:
         assert G.inverse[4] == 5
 
     def test_bad_table_rejected(self):
-        from iwatower import FiniteGroup
-
-        with pytest.raises(ValueError):
-            FiniteGroup([[0, 1], [1, 1]])  # not a group
+        for table, message in [
+            ([[0, 1], [1, 1]], "no inverse"),  # not a group
+            ([[0, 1, 2], [1, 2, 0], [2, 0, 5]], r"entry \[2\]\[2\] = 5"),
+            ([[0, 1, 2], [1, 2, 0], [2, 0, -2]], r"entry \[2\]\[2\] = -2"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                FiniteGroup(table)
 
     def test_order_cap(self):
-        from iwatower import FiniteGroup
-
         table = [[(a + b) % 250 for b in range(250)] for a in range(250)]
         with pytest.raises(GroupTooLarge):
             FiniteGroup(table)
@@ -54,11 +62,39 @@ class TestFiniteGroup:
         assert len(Gamma) == 3
         assert not G.is_normal(Gamma)
 
-    def test_all_subgroups_elementary_abelian(self):
-        e9 = direct_product(cyclic_group(3), cyclic_group(3))
-        subs = e9.all_subgroups()
-        # 1 trivial + 4 of order 3 + the whole group
-        assert len(subs) == 6
+    @pytest.mark.parametrize(
+        "name, n_subgroups, n_normal",
+        [
+            ("C3", 2, 2),
+            ("C9", 3, 3),
+            ("C81", 5, 5),
+            ("C3xC3", 6, 6),  # 1 trivial + 4 of order 3 + the whole group
+            ("C3xC3xC3", 28, 28),  # 1 + 13 lines + 13 planes + 1
+            ("C9:C3", 10, 7),
+            ("Heis3", 19, 7),  # 1 + 13 of order 3 (1 normal) + 4 of order 9 + 1
+        ],
+    )
+    def test_all_subgroups(self, name, n_subgroups, n_normal):
+        G = CORPUS[name]
+        subs = G.all_subgroups()
+        assert len(subs) == n_subgroups
+        assert sum(G.is_normal(S) for S in subs) == n_normal
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_closure_matches_reference(self, name):
+        # every single element and every pair: 3,321 sets for C81
+        G = CORPUS[name]
+        for k in (1, 2):
+            for gens in combinations(range(G.order), k):
+                assert G.closure(gens) == reference_closure(G, gens), gens
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_is_normal_matches_definition(self, name):
+        G = CORPUS[name]
+        inverse = {g: h for g in range(G.order) for h in range(G.order) if G.mul(g, h) == G.identity}
+        for S in G.all_subgroups():
+            normal = all(G.mul(G.mul(g, u), inverse[g]) in S for g in range(G.order) for u in S)
+            assert G.is_normal(S) == normal, sorted(S)
 
     def test_conjugates_of_normal_subgroup(self):
         h = heisenberg(3)
