@@ -1,4 +1,4 @@
-"""Brute-force module arithmetic over finite p-group rings (Z/p^N)[G]:
+"""Module arithmetic over finite p-group rings (Z/p^N)[G]:
 augmentation-ideal quotients, subgroup coinvariants, and the fixed test
 corpus of small 3-groups.
 
@@ -10,9 +10,12 @@ products and inverses), the inverse of x is the column where row x holds
 the identity, and a subgroup is normal when its set of conjugates
 g*u*g^-1 is inside it.
 
-Every module is expanded on the abelian basis (generator, group element)
-and resolved by Smith normal form over Z/p^N, so quotient orders are
-exact brute-force counts.
+A module is (Z/p^N)[G]^k modulo the left submodule its relations
+generate.  Its quotient by every (w - 1)x with w in a subgroup K is
+free on the pairs (generator, right coset Kt) modulo the relations
+projected onto those pairs, since (k - 1)t e_j identifies e_{kt} with
+e_t; only that projection goes to the Smith normal form over Z/p^N, so
+quotient orders are exact.
 """
 
 from __future__ import annotations
@@ -30,13 +33,13 @@ DEFAULT_ORDER_CAP = 243
 class FiniteGroup:
     """Explicit finite group: elements 0..order-1 with a multiplication
     table.  The table is checked to be a group (entries in range,
-    exhaustive associativity, identity, inverses) at construction."""
+    identity, inverses, associativity) at construction."""
 
-    def __init__(self, table, name: str = "G", order_cap: int = DEFAULT_ORDER_CAP):
+    def __init__(self, table, name: str = "G"):
         table = [list(row) for row in table]
         n = len(table)
-        if n > order_cap:
-            raise GroupTooLarge(f"order {n} exceeds cap {order_cap}")
+        if n > DEFAULT_ORDER_CAP:
+            raise GroupTooLarge(f"order {n} exceeds cap {DEFAULT_ORDER_CAP}")
         if any(len(row) != n for row in table):
             raise ValueError("multiplication table is not square")
         for a, row in enumerate(table):
@@ -65,15 +68,19 @@ class FiniteGroup:
         return inv
 
     def _check_associativity(self):
+        """Light's test: x(gy) = (xg)y for g in a greedy generating set.
+        The g that pass are closed under products and the orbit of the
+        identity under the set is the whole table, so every g passes."""
         t = self.table
-        for a in range(self.order):
-            ta = t[a]
-            for b in range(self.order):
-                tab = t[ta[b]]
-                tb = t[b]
-                for c in range(self.order):
-                    if tab[c] != ta[tb[c]]:
-                        raise ValueError("multiplication table is not associative")
+        gens, span = [], frozenset({self.identity})
+        for g in range(self.order):
+            if g not in span:
+                gens.append(g)
+                span = self.closure(gens)
+        for g in gens:
+            for tx in t:
+                if [tx[gy] for gy in t[g]] != t[tx[g]]:
+                    raise ValueError("multiplication table is not associative")
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -219,59 +226,44 @@ class FiniteGroupRingModule:
             order //= self.p.p
         if order != 1:
             raise ValueError("group order must be a power of p")
+        if self.N < 1:
+            raise ValueError(f"precision N = {self.N} must be at least 1")
+        elements = range(self.group.order)
         rels = tuple(tuple(dict(e) for e in row) for row in self.relations)
         for row in rels:
             if len(row) != self.generators:
                 raise ValueError("relation length does not match generator count")
+            bad = [s for entry in row for s in entry if s not in elements]
+            if bad:
+                raise ValueError(f"relation key {bad[0]!r} is not a group element 0..{elements[-1]}")
         object.__setattr__(self, "relations", rels)
 
-    @property
-    def basis_size(self) -> int:
-        return self.generators * self.group.order
-
-    def _base_rows(self):
-        """Abelian relation rows: each presentation relation multiplied
-        on the left by every group element."""
+    def shape_of(self, multipliers=()) -> AbelianShape:
+        """Shape of M / span{(w - 1)x : w in multipliers, x in M}, the
+        coinvariants of M under K = <multipliers>: the relations g*rel,
+        one g per right coset Kg (k*g*rel projects to the same row),
+        projected onto the basis of pairs (generator j, coset Kt)."""
         G = self.group
+        t = G.table
+        K = G.closure(multipliers)
+        coset, reps = [None] * G.order, []
+        for x in range(G.order):
+            if coset[x] is None:
+                for k in K:
+                    coset[t[k][x]] = len(reps)
+                reps.append(x)
+        width = len(reps)
+        if not self.relations:
+            return AbelianShape((), self.generators * width, self.N)
         rows = []
         for rel in self.relations:
-            for g in range(G.order):
-                row = [0] * self.basis_size
+            for g in reps:
+                row = [0] * (self.generators * width)
                 for j, entry in enumerate(rel):
                     for s, c in entry.items():
-                        row[j * G.order + G.mul(g, s)] += c
+                        row[j * width + coset[t[g][s]]] += c
                 rows.append(row)
-        return rows
-
-    def _difference_rows(self, multipliers):
-        """Rows (s - 1) * t * e_j, for s in a generating set of the
-        subgroup the `multipliers` generate, t in G and j over generators.
-        They span every (w - 1) * t * e_j with w in that subgroup, as
-        (ab - 1)t = (a - 1)(bt) + (b - 1)t and (a^-1 - 1)t = -(a - 1)(a^-1 t)."""
-        G = self.group
-        gens, span = [], frozenset({G.identity})
-        for w in sorted(multipliers):
-            if w not in span:
-                gens.append(w)
-                span = G.closure(gens)
-        rows = []
-        for s in gens:
-            for t in range(G.order):
-                for j in range(self.generators):
-                    row = [0] * self.basis_size
-                    row[j * G.order + G.mul(s, t)] += 1
-                    row[j * G.order + t] -= 1
-                    rows.append(row)
-        return rows
-
-    def shape_of(self, extra_rows) -> AbelianShape:
-        rows = self._base_rows() + list(extra_rows)
-        if not rows:
-            return AbelianShape((), self.basis_size, self.N)
         return snf(rows, self.p, self.N)
-
-    def shape(self) -> AbelianShape:
-        return self.shape_of([])
 
 
 def group_ring_module(group: FiniteGroup, p: Prime, N: int) -> FiniteGroupRingModule:
@@ -286,8 +278,9 @@ def group_ring_module(group: FiniteGroup, p: Prime, N: int) -> FiniteGroupRingMo
 
 @dataclass(frozen=True)
 class AugmentationQuotients:
-    """Brute-force comparison of M/I_U M (span of (u-1)x under the
-    subgroup ring only) against M/M(U) (full group-ring span)."""
+    """M/I_U M (span of (u-1)x under the subgroup ring only) against
+    M/M(U) (full group-ring span, the coinvariants under the normal
+    closure of U), both as exact orders on the coset basis."""
 
     log_size_iu: int  # log_p |M / I_U M|
     log_size_mu: int  # log_p |M / M(U)|
@@ -295,20 +288,17 @@ class AugmentationQuotients:
 
 
 def augmentation_quotients(M: FiniteGroupRingModule, U) -> AugmentationQuotients:
-    G = M.group
-    U = G.closure(U)
-    iu_rows = M._difference_rows(U)
-    mu_rows = M._difference_rows(G.conjugates(U))
-    log_iu = M.shape_of(iu_rows).log_order()
-    log_mu = M.shape_of(mu_rows).log_order()
+    U = M.group.closure(U)
+    log_iu = M.shape_of(U).log_order()
+    log_mu = M.shape_of(M.group.conjugates(U)).log_order()
     return AugmentationQuotients(log_iu, log_mu, log_iu != log_mu)
 
 
 @dataclass(frozen=True)
 class QuotientCoinvariantReport:
-    """The three quotient-coinvariant shapes computed by brute force:
-    they are asserted pairwise equal when H_m is normal and meets
-    Gamma_n trivially."""
+    """The three quotient-coinvariant shapes, each the coinvariants
+    under one subgroup computed on its coset basis: they are asserted
+    pairwise equal when H_m is normal and meets Gamma_n trivially."""
 
     shape_hm_then_gamma: AbelianShape
     shape_joint: AbelianShape
@@ -337,14 +327,12 @@ def quotient_coinvariant_check(
             "the joint level subgroup generated by H_m and Gamma_n must "
             "be normal in G"
         )
-    # (M_{H_m})_{Gamma_n}: H_m is normal so M(H_m) rows need no
-    # conjugation; the Gamma_n coinvariants of the quotient add plain
-    # difference rows (subgroup-ring span suffices for coinvariants)
-    rows1 = M._difference_rows(H_m) + M._difference_rows(Gamma_n)
-    shape1 = M.shape_of(rows1)
+    # (M_{H_m})_{Gamma_n}: H_m is normal so M(H_m) needs no
+    # conjugation; the Gamma_n coinvariants of the quotient add the
+    # subgroup-ring span of Gamma_n (enough for coinvariants)
+    shape1 = M.shape_of(H_m | Gamma_n)
     # M / M(G_{m,n})
-    shape2 = M.shape_of(M._difference_rows(G.conjugates(joint)))
+    shape2 = M.shape_of(G.conjugates(joint))
     # (M / M(Gamma_n))_{H_m}
-    rows3 = M._difference_rows(G.conjugates(Gamma_n)) + M._difference_rows(H_m)
-    shape3 = M.shape_of(rows3)
+    shape3 = M.shape_of(G.conjugates(Gamma_n) | H_m)
     return QuotientCoinvariantReport(shape1, shape2, shape3)

@@ -3,7 +3,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from iwatower import AbelianShape, ModulePresentation, Prime, PrecisionContext, SeriesElement
+from iwatower import AbelianShape, ModulePresentation, Prime, PrecisionContext, SeriesElement, snf
 
 
 @pytest.fixture(scope="session")
@@ -171,3 +171,51 @@ def reference_closure(G, generators):
         seen |= new
         frontier = new
     return frozenset(seen)
+
+
+def reference_quotient_shape(M, multipliers):
+    """Test oracle for `FiniteGroupRingModule.shape_of`: the abelian
+    rows of the quotient on the basis (generator, group element), fed to
+    `snf` as they are.  Base rows are each relation multiplied on the left
+    by every group element; difference rows are (s - 1) * t * e_j for s
+    in a greedy generating set of the subgroup the multipliers generate,
+    every t in G and every generator j.  They span every (w - 1) * t * e_j
+    with w in that subgroup, as (ab - 1)t = (a - 1)(bt) + (b - 1)t and
+    (a^-1 - 1)t = -(a - 1)(a^-1 t)."""
+    G = M.group
+    width = M.generators * G.order
+    rows = []
+    for rel in M.relations:
+        for g in range(G.order):
+            row = [0] * width
+            for j, entry in enumerate(rel):
+                for s, c in entry.items():
+                    row[j * G.order + G.mul(g, s)] += c
+            rows.append(row)
+    gens, span = [], frozenset({G.identity})
+    for w in sorted(multipliers):
+        if w not in span:
+            gens.append(w)
+            span = G.closure(gens)
+    for s in gens:
+        for t in range(G.order):
+            for j in range(M.generators):
+                row = [0] * width
+                row[j * G.order + G.mul(s, t)] += 1
+                row[j * G.order + t] -= 1
+                rows.append(row)
+    if not rows:
+        return AbelianShape((), width, M.N)
+    return snf(rows, M.p, M.N)
+
+
+def reference_is_associative(table):
+    """Test oracle for `FiniteGroup._check_associativity`: checks
+    (ab)c = a(bc) for every triple."""
+    n = len(table)
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -18,9 +19,47 @@ from iwatower import (
     semidirect_c3_c9,
 )
 
-from conftest import reference_closure
+from conftest import reference_closure, reference_is_associative, reference_quotient_shape
 
 CORPUS = {G.name: G for G, _, _ in corpus_groups(3)}
+
+
+def random_loop(rng, n):
+    """A seeded random Latin square of order n, filled row by row, with
+    rows and columns reordered so that 0 is a two-sided identity."""
+    rows, columns = [], [set() for _ in range(n)]
+
+    def fill(row):
+        c = len(row)
+        if c == n:
+            return True
+        candidates = [v for v in range(n) if v not in columns[c] and v not in row]
+        rng.shuffle(candidates)
+        for v in candidates:
+            row.append(v)
+            columns[c].add(v)
+            if fill(row):
+                return True
+            row.pop()
+            columns[c].discard(v)
+        return False
+
+    for _ in range(n):
+        row = []
+        fill(row)  # a Latin rectangle always extends by a row
+        rows.append(row)
+    rows.sort(key=lambda row: row[0])
+    return [[row[rows[0].index(b)] for b in range(n)] for row in rows]
+
+
+def reference_verdict(table):
+    """The error `FiniteGroup` raised before it checked associativity on
+    a generating set, for a table with identity 0: the first element
+    without a two-sided inverse, else associativity of every triple."""
+    for x, row in enumerate(table):
+        if table[row.index(0)][x] != 0:
+            return f"element {x} has no inverse"
+    return None if reference_is_associative(table) else "multiplication table is not associative"
 
 
 class TestFiniteGroup:
@@ -36,9 +75,31 @@ class TestFiniteGroup:
             ([[0, 1], [1, 1]], "no inverse"),  # not a group
             ([[0, 1, 2], [1, 2, 0], [2, 0, 5]], r"entry \[2\]\[2\] = 5"),
             ([[0, 1, 2], [1, 2, 0], [2, 0, -2]], r"entry \[2\]\[2\] = -2"),
+            # a loop of order 5 with x * x = 0: inverses exist, (1*2)*2 = 3*2 = 4 but 1*(2*2) = 1
+            (
+                [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+                "not associative",
+            ),
         ]:
             with pytest.raises(ValueError, match=message):
                 FiniteGroup(table)
+
+    def test_associativity_matches_reference(self):
+        # 1,200 seeded loops of order 4-9: the check on a generating set
+        # must give every table the verdict of the check on all triples
+        rng = random.Random(6)
+        verdicts = []
+        for _ in range(1200):
+            table = random_loop(rng, rng.randint(4, 9))
+            try:
+                FiniteGroup(table)
+                verdict = None
+            except ValueError as exc:
+                verdict = str(exc)
+            assert verdict == reference_verdict(table), table
+            verdicts.append(verdict)
+        assert verdicts.count(None) > 0
+        assert verdicts.count("multiplication table is not associative") > 0
 
     def test_order_cap(self):
         table = [[(a + b) % 250 for b in range(250)] for a in range(250)]
@@ -108,12 +169,63 @@ class TestModuleValidation:
         with pytest.raises(ValueError):
             FiniteGroupRingModule(cyclic_group(6), Prime(3), 2)
 
+    @pytest.mark.parametrize(
+        "N, relations, message",
+        [
+            (2, (({-1: 1},),), "relation key -1 is not a group element 0..2"),
+            (2, (({0: 1, 5: 2},),), "relation key 5 is not a group element 0..2"),
+            (0, (), "precision N = 0 must be at least 1"),
+            (-1, (), "precision N = -1 must be at least 1"),
+        ],
+    )
+    def test_bad_presentation_rejected(self, N, relations, message):
+        with pytest.raises(ValueError, match=message):
+            FiniteGroupRingModule(cyclic_group(3), Prime(3), N, relations=relations)
+
     def test_shape_of_group_ring(self):
         G = cyclic_group(9)
         M = group_ring_module(G, Prime(3), 2)
-        shape = M.shape()
+        shape = M.shape_of()
         assert shape.free_rank_at_precision == 9
         assert shape.log_torsion == 0
+
+
+class TestShapeOf:
+    def test_matches_reference_with_relations(self):
+        # seeded modules with 0-3 relations over the corpus groups of order
+        # <= 27; the non-normal subgroups of C9:C3 and Heis3 tell right
+        # cosets Kt from left cosets tK once there are relations
+        rng = random.Random(7)
+        prime = Prime(3)
+        compared = 0
+        for G, H, Gamma in corpus_groups(3):
+            if G.order > 27:
+                continue
+            subgroups = G.all_subgroups()
+            for _ in range(25):
+                k, N = rng.randint(1, 3), rng.randint(1, 4)
+                relations = tuple(
+                    tuple(
+                        {rng.randrange(G.order): rng.randrange(-9, 10) for _ in range(rng.randint(0, 4))}
+                        for _ in range(k)
+                    )
+                    for _ in range(rng.randint(0, 3))
+                )
+                M = FiniteGroupRingModule(G, prime, N, generators=k, relations=relations)
+                U = rng.choice(subgroups)
+                for multipliers in (
+                    U,
+                    G.conjugates(U),
+                    H | Gamma,
+                    {rng.randrange(G.order), rng.randrange(G.order)},
+                ):
+                    assert M.shape_of(multipliers) == reference_quotient_shape(M, multipliers), (
+                        G.name,
+                        relations,
+                        sorted(multipliers),
+                    )
+                    compared += 1
+        assert compared == 600
 
 
 class TestAugmentationQuotients:
@@ -129,7 +241,7 @@ class TestAugmentationQuotients:
         G = cyclic_group(9)
         M = group_ring_module(G, Prime(3), 2)
         aq = augmentation_quotients(M, {G.identity})
-        assert aq.log_size_iu == M.shape().log_order()
+        assert aq.log_size_iu == M.shape_of().log_order()
         assert aq.log_size_mu == aq.log_size_iu
 
     def test_non_normal_strict_inclusion_exists(self):
