@@ -12,7 +12,7 @@ about all n: reports carry the verdict "window-consistent" at most.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -22,7 +22,7 @@ from .errors import (
     NonIntegralCoefficient,
     NotSquare,
 )
-from .modules import ModulePresentation, TowerDatum
+from .modules import ModulePresentation
 from .series import char_poly, weierstrass_prepare
 
 VERDICT_CONSISTENT = "window-consistent"
@@ -143,11 +143,7 @@ class GrowthModel:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown model family {self.family!r}")
-        spec = _FAMILIES[self.family]
-        if spec.min_d is not None and self.d < spec.min_d:
-            raise ValueError(f"{self.family} requires d >= {spec.min_d}")
-        if spec.exact_d is not None and self.d != spec.exact_d:
-            raise ValueError(f"{self.family} requires d = {spec.exact_d}")
+        _FAMILIES[self.family].check_d(self.d, self.family)
 
 
 @dataclass(frozen=True)
@@ -162,75 +158,88 @@ class _FamilySpec:
     min_d: int = None
     exact_d: int = None
 
+    @property
+    def main(self) -> tuple:
+        """The (slot name, basis function) pairs of the main term."""
+        return tuple((name, g) for name, g in self.unknowns if name != "c")
 
-def _spec_table():
-    def pw(p, e):
-        return p ** e if e >= 0 else Fraction(1, p ** -e)
+    def main_term(self, slots, p: int, d: int, n: int):
+        """Sum of each main-term slot value times its basis function at n."""
+        return sum(slots[name] * g(p, d, n) for name, g in self.main)
 
-    return {
-        "Iwasawa_d1": _FamilySpec(
-            unknowns=(
-                ("mu", lambda p, d, n: pw(p, n)),
-                ("lam", lambda p, d, n: n),
-                ("c", lambda p, d, n: 1),
-            ),
-            o_class="O(1)",
-            h=lambda p, d, n: 1,
-            datum_value=lambda t: t.log_torsion,
-            exact_d=1,
-        ),
-        "CuocoMonsky": _FamilySpec(
-            unknowns=(
-                ("mu", lambda p, d, n: pw(p, d * n)),
-                ("l0", lambda p, d, n: n * pw(p, (d - 1) * n)),
-                ("c", lambda p, d, n: pw(p, (d - 1) * n)),
-            ),
-            o_class="O(p^((d-1)n))",
-            h=lambda p, d, n: pw(p, (d - 1) * n),
-            datum_value=lambda t: t.log_torsion,
-            min_d=2,
-        ),
-        "LiangLim": _FamilySpec(
-            unknowns=(
-                ("mu", lambda p, d, n: pw(p, d * n)),
-                ("c", lambda p, d, n: n * pw(p, (d - 1) * n)),
-            ),
-            o_class="O(n*p^((d-1)n))",
-            h=lambda p, d, n: max(1, n) * pw(p, (d - 1) * n),
-            datum_value=lambda t: t.log_torsion,
-            min_d=1,
-        ),
-        "Perbet_modpn": _FamilySpec(
-            unknowns=(
-                ("rank", lambda p, d, n: n * pw(p, d * n)),
-                ("mu", lambda p, d, n: pw(p, d * n)),
-                ("c", lambda p, d, n: n * pw(p, (d - 1) * n)),
-            ),
-            o_class="O(n*p^((d-1)n))",
-            h=lambda p, d, n: max(1, n) * pw(p, (d - 1) * n),
-            datum_value=lambda t: t.log_mod_pn,
-            min_d=1,
-        ),
-        "Semidirect_rank": _FamilySpec(
-            unknowns=(
-                ("rank_over_h", lambda p, d, n: n * pw(p, (d - 1) * n)),
-                ("c", lambda p, d, n: pw(p, (d - 1) * n)),
-            ),
-            o_class="O(p^((d-1)n))",
-            h=lambda p, d, n: pw(p, (d - 1) * n),
-            datum_value=lambda t: t.log_torsion,
-            min_d=2,
-        ),
-    }
+    def check_d(self, d: int, label: str):
+        """Raise ValueError naming `label` when d breaks the family's rule."""
+        if self.min_d is not None and d < self.min_d:
+            raise ValueError(f"{label} requires d >= {self.min_d}")
+        if self.exact_d is not None and d != self.exact_d:
+            raise ValueError(f"{label} requires d = {self.exact_d}")
 
 
-_FAMILIES = _spec_table()
+def _pw(p, e):
+    return p ** e if e >= 0 else Fraction(1, p ** -e)
+
+
+#: the growth-law families, the one statement of each law's main-term
+#: basis, O-class and d rule; `ktheory.predict_growth` reads them too
+_FAMILIES = {
+    "Iwasawa_d1": _FamilySpec(
+        unknowns=(
+            ("mu", lambda p, d, n: _pw(p, n)),
+            ("lam", lambda p, d, n: n),
+            ("c", lambda p, d, n: 1),
+        ),
+        o_class="O(1)",
+        h=lambda p, d, n: 1,
+        datum_value=lambda t: t.log_torsion,
+        exact_d=1,
+    ),
+    "CuocoMonsky": _FamilySpec(
+        unknowns=(
+            ("mu", lambda p, d, n: _pw(p, d * n)),
+            ("l0", lambda p, d, n: n * _pw(p, (d - 1) * n)),
+            ("c", lambda p, d, n: _pw(p, (d - 1) * n)),
+        ),
+        o_class="O(p^((d-1)n))",
+        h=lambda p, d, n: _pw(p, (d - 1) * n),
+        datum_value=lambda t: t.log_torsion,
+        min_d=2,
+    ),
+    "LiangLim": _FamilySpec(
+        unknowns=(
+            ("mu", lambda p, d, n: _pw(p, d * n)),
+            ("c", lambda p, d, n: n * _pw(p, (d - 1) * n)),
+        ),
+        o_class="O(n*p^((d-1)n))",
+        h=lambda p, d, n: max(1, n) * _pw(p, (d - 1) * n),
+        datum_value=lambda t: t.log_torsion,
+        min_d=1,
+    ),
+    "Perbet_modpn": _FamilySpec(
+        unknowns=(
+            ("rank", lambda p, d, n: n * _pw(p, d * n)),
+            ("mu", lambda p, d, n: _pw(p, d * n)),
+            ("c", lambda p, d, n: n * _pw(p, (d - 1) * n)),
+        ),
+        o_class="O(n*p^((d-1)n))",
+        h=lambda p, d, n: max(1, n) * _pw(p, (d - 1) * n),
+        datum_value=lambda t: t.log_mod_pn,
+        min_d=1,
+    ),
+    "Semidirect_rank": _FamilySpec(
+        unknowns=(
+            ("rank_over_h", lambda p, d, n: n * _pw(p, (d - 1) * n)),
+            ("c", lambda p, d, n: _pw(p, (d - 1) * n)),
+        ),
+        o_class="O(p^((d-1)n))",
+        h=lambda p, d, n: _pw(p, (d - 1) * n),
+        datum_value=lambda t: t.log_torsion,
+        min_d=2,
+    ),
+}
+
 
 #: slots the paper asserts to be non-negative integers
 _INTEGRAL_SLOTS = {"mu", "lam", "rank", "rank_over_h"}
-#: slots asserted integral but allowed any sign is only l0 (an integer
-#: "independent of n"); keep it integral but not sign-constrained
-_SIGNED_INTEGRAL_SLOTS = {"l0"}
 
 
 def _solve_fraction_system(rows, rhs):
@@ -306,9 +315,8 @@ def fit_growth(data, model: GrowthModel, n0: int = 1) -> InvariantReport:
         raise InsufficientData("solving system is singular on these points")
     coeffs = dict(zip((name for name, _ in spec.unknowns), solution))
     slots = {}
-    for name, value in coeffs.items():
-        if name == "c":
-            continue
+    for name, _ in spec.main:
+        value = coeffs[name]
         if value.denominator != 1 or (
             name in _INTEGRAL_SLOTS and value < 0
         ):
@@ -317,15 +325,9 @@ def fit_growth(data, model: GrowthModel, n0: int = 1) -> InvariantReport:
                 f"{'non-negative ' if name in _INTEGRAL_SLOTS else ''}integer"
             )
         slots[name] = int(value)
-
-    def main(n):
-        return sum(
-            slots[name] * g(p, d, n)
-            for name, g in spec.unknowns
-            if name != "c"
-        )
-
-    residuals = tuple(spec.datum_value(t) - main(t.n) for t in data)
+    residuals = tuple(
+        spec.datum_value(t) - spec.main_term(slots, p, d, t.n) for t in data
+    )
     window = [
         (t, r)
         for t, r in zip(data, residuals)

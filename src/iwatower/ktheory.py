@@ -12,12 +12,12 @@ steps distinguishable from computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import sympy
 
-from .errors import MissingInvariant, ResidueCharacteristicP
-from .invariants import InvariantReport
+from .errors import ResidueCharacteristicP
+from .invariants import _FAMILIES, InvariantReport
 from .padic import Prime, h1_local_order, ord_p
 
 QL_ASSUMPTION = (
@@ -25,7 +25,15 @@ QL_ASSUMPTION = (
     "H^2(G_{S_p}(F), Z_p(i)) (Quillen-Lichtenbaum)"
 )
 
-KINDS = ("Zp", "Zpd", "Uniform", "Semidirect")
+#: extension kind -> (the `fit` family whose slots, main-term basis,
+#: O-class and d rule the kind's growth law uses, torsion type, theorem tag)
+_KIND_LAWS = {
+    "Zp": ("Iwasawa_d1", "p^inf", "zp-tower"),
+    "Zpd": ("CuocoMonsky", "p^inf", "zpd-tower"),
+    "Uniform": ("LiangLim", "p^n", "uniform-tower"),
+    "Semidirect": ("Semidirect_rank", "p^inf", "semidirect-tower"),
+}
+KINDS = tuple(_KIND_LAWS)
 
 
 @dataclass(frozen=True)
@@ -75,14 +83,9 @@ class ExtensionDescriptor:
     notes: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _KIND_LAWS:
             raise ValueError(f"unknown extension kind {self.kind!r}")
-        if self.kind == "Zp" and self.d != 1:
-            raise ValueError("Zp kind requires d = 1")
-        if self.kind == "Zpd" and self.d < 2:
-            raise ValueError("Zpd kind requires d >= 2")
-        if self.kind == "Semidirect" and self.d < 2:
-            raise ValueError("Semidirect kind requires d >= 2")
+        _FAMILIES[_KIND_LAWS[self.kind][0]].check_d(self.d, f"{self.kind} kind")
         prs = tuple(self.ramified_primes)
         if self.kind in ("Zp", "Zpd") and any(v.ramified for v in prs):
             raise ValueError(
@@ -199,68 +202,33 @@ def predict_growth(
     i: int,
     n_range,
 ) -> TowerPrediction:
-    """Per-level main terms of the growth law matching the extension
-    kind, with symbolic O-class labels (the underlying theorems provide
-    no constants)."""
+    """Per-level main terms of the fit family that the extension kind
+    maps to, with the family's symbolic O-class label (the underlying
+    theorems provide no constants)."""
     p.require_odd()
+    family, torsion_type, theorem_tag = _KIND_LAWS[ext.kind]
+    spec = _FAMILIES[family]
+    slots = {name: inv.slot(name) for name, _ in spec.main}
     d = ext.d
     q = p.p
-    rows = []
-    if ext.kind == "Zp":
-        mu, lam = inv.slot("mu"), inv.slot("lam")
-        for n in n_range:
-            rows.append(
-                PredictionRow(n, mu * q ** n + lam * n, "O(1)", "p^inf", "zp-tower")
-            )
-    elif ext.kind == "Zpd":
-        mu, l0 = inv.slot("mu"), inv.slot("l0")
-        for n in n_range:
-            rows.append(
-                PredictionRow(
-                    n,
-                    mu * q ** (d * n) + l0 * n * q ** ((d - 1) * n),
-                    "O(p^((d-1)n))",
-                    "p^inf",
-                    "zpd-tower",
-                )
-            )
-    elif ext.kind == "Uniform":
-        mu = inv.slot("mu")
+    rows = [
+        PredictionRow(
+            n, spec.main_term(slots, q, d, n), spec.o_class, torsion_type, theorem_tag
+        )
+        for n in n_range
+    ]
+    if ext.kind == "Semidirect" and inv.mu_h is not None:
         for n in n_range:
             rows.append(
                 PredictionRow(
                     n,
-                    mu * q ** (d * n),
-                    "O(n*p^((d-1)n))",
+                    spec.main_term(slots, q, d, n) + inv.mu_h * q ** ((d - 1) * n),
+                    "O(n*p^((d-2)n))",
                     "p^n",
-                    "uniform-tower",
+                    "semidirect-upper-bound",
+                    qualifier="UPPER_BOUND",
                 )
             )
-    elif ext.kind == "Semidirect":
-        rank_h = inv.slot("rank_over_h")
-        for n in n_range:
-            rows.append(
-                PredictionRow(
-                    n,
-                    rank_h * n * q ** ((d - 1) * n),
-                    "O(p^((d-1)n))",
-                    "p^inf",
-                    "semidirect-tower",
-                )
-            )
-        if inv.mu_h is not None:
-            for n in n_range:
-                rows.append(
-                    PredictionRow(
-                        n,
-                        rank_h * n * q ** ((d - 1) * n)
-                        + inv.mu_h * q ** ((d - 1) * n),
-                        "O(n*p^((d-2)n))",
-                        "p^n",
-                        "semidirect-upper-bound",
-                        qualifier="UPPER_BOUND",
-                    )
-                )
     assumptions = [QL_ASSUMPTION]
     for hyp in ext.asserted_hypotheses:
         assumptions.append(f"asserted (unchecked): {hyp}")

@@ -16,7 +16,6 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from .errors import PrecisionExhausted
 from .groupring import (
-    FiniteGroupRingModule,
     augmentation_quotients,
     corpus_groups,
     group_ring_module,

@@ -10,7 +10,6 @@ immutable sparse multidegree maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -222,12 +221,7 @@ def omega(context: PrecisionContext, n: int, j: int = 0) -> SeriesElement:
     q = context.p.p ** n
     if q > context.D:
         raise DegreeOverflow(f"deg omega({n}) = {q} exceeds D = {context.D}")
-    data = {}
-    for e in range(1, q + 1):
-        exps = [0] * context.d
-        exps[j] = e
-        data[tuple(exps)] = comb(q, e)
-    return SeriesElement(context, data)
+    return SeriesElement.univariate(context, omega_int_coeffs(context.p.p, n), j)
 
 
 def omega_int_coeffs(p: int, n: int) -> list:

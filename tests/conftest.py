@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from iwatower import AbelianShape, ModulePresentation, Prime, PrecisionContext, SeriesElement, snf
+from iwatower.ktheory import QL_ASSUMPTION, PredictionRow, TowerPrediction
 
 
 @pytest.fixture(scope="session")
@@ -219,3 +220,72 @@ def reference_is_associative(table):
         for b in range(n)
         for c in range(n)
     )
+
+
+def reference_predict_growth(inv, ext, p, i, n_range):
+    """Test oracle for `ktheory.predict_growth`: one hand-written branch
+    per extension kind, each with its own main-term formula, O-class
+    and torsion type."""
+    p.require_odd()
+    d = ext.d
+    q = p.p
+    rows = []
+    if ext.kind == "Zp":
+        mu, lam = inv.slot("mu"), inv.slot("lam")
+        for n in n_range:
+            rows.append(
+                PredictionRow(n, mu * q ** n + lam * n, "O(1)", "p^inf", "zp-tower")
+            )
+    elif ext.kind == "Zpd":
+        mu, l0 = inv.slot("mu"), inv.slot("l0")
+        for n in n_range:
+            rows.append(
+                PredictionRow(
+                    n,
+                    mu * q ** (d * n) + l0 * n * q ** ((d - 1) * n),
+                    "O(p^((d-1)n))",
+                    "p^inf",
+                    "zpd-tower",
+                )
+            )
+    elif ext.kind == "Uniform":
+        mu = inv.slot("mu")
+        for n in n_range:
+            rows.append(
+                PredictionRow(
+                    n,
+                    mu * q ** (d * n),
+                    "O(n*p^((d-1)n))",
+                    "p^n",
+                    "uniform-tower",
+                )
+            )
+    elif ext.kind == "Semidirect":
+        rank_h = inv.slot("rank_over_h")
+        for n in n_range:
+            rows.append(
+                PredictionRow(
+                    n,
+                    rank_h * n * q ** ((d - 1) * n),
+                    "O(p^((d-1)n))",
+                    "p^inf",
+                    "semidirect-tower",
+                )
+            )
+        if inv.mu_h is not None:
+            for n in n_range:
+                rows.append(
+                    PredictionRow(
+                        n,
+                        rank_h * n * q ** ((d - 1) * n)
+                        + inv.mu_h * q ** ((d - 1) * n),
+                        "O(n*p^((d-2)n))",
+                        "p^n",
+                        "semidirect-upper-bound",
+                        qualifier="UPPER_BOUND",
+                    )
+                )
+    assumptions = [QL_ASSUMPTION]
+    for hyp in ext.asserted_hypotheses:
+        assumptions.append(f"asserted (unchecked): {hyp}")
+    return TowerPrediction(tuple(rows), tuple(assumptions))

@@ -126,6 +126,17 @@ class TestFitPredictPipeline:
         ]
         assert [int(r.split("\t")[1]) for r in rows] == [0, 1, 2, 3, 4]
 
+    def test_predict_uniform_nonpositive_d_exit_1(self, tmp_path, capsys):
+        report = tmp_path / "report.txt"
+        report.write_text("p=3\nd=1\nmethod=fitted\nmu=1\n")
+        desc = tmp_path / "desc.txt"
+        desc.write_text("kind: Uniform\nd: -1\n")
+        pred_out = tmp_path / "pred.tsv"
+        code = main(["predict", str(report), str(desc), "--p", "3", "--out", str(pred_out)])
+        assert code == 1
+        assert "Uniform kind requires d >= 1" in capsys.readouterr().err
+        assert not pred_out.exists()
+
     def test_two_point_input_exit_1(self, tmp_path, capsys):
         path = tmp_path / "short.tsv"
         path.write_text(

@@ -11,13 +11,11 @@ from iwatower import (
     NotSquare,
     SeriesElement,
     TowerDatum,
-    coinvariants,
     cuoco_monsky_hypothesis_check,
     exact_invariants_d1,
     fit_growth,
     mu_of_mod_pn,
     mu_positivity_equiv,
-    partial_coinvariants,
     tower,
 )
 

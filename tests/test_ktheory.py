@@ -18,6 +18,10 @@ from iwatower import (
     predict_growth,
     vanishing_propagation,
 )
+from iwatower.formats import format_prediction_tsv
+from iwatower.ktheory import KINDS
+
+from conftest import reference_predict_growth
 
 
 class TestRecords:
@@ -42,6 +46,7 @@ class TestRecords:
     def test_descriptor_kinds(self):
         ExtensionDescriptor("Zp", 1)
         ExtensionDescriptor("Zpd", 2)
+        ExtensionDescriptor("Uniform", 1)
         ExtensionDescriptor("Semidirect", 3)
         with pytest.raises(ValueError):
             ExtensionDescriptor("Zp", 2)
@@ -49,6 +54,9 @@ class TestRecords:
             ExtensionDescriptor("Semidirect", 1)
         with pytest.raises(ValueError):
             ExtensionDescriptor("weird", 1)
+        for d in (0, -1):
+            with pytest.raises(ValueError, match=r"^Uniform kind requires d >= 1$"):
+                ExtensionDescriptor("Uniform", d)
 
     def test_zpd_must_be_unramified_outside_p(self):
         v = LocalPrimeDatum("v", 7, ramified=True)
@@ -194,6 +202,53 @@ class TestPredictGrowth:
         )
         pred = predict_growth(rep, ext, Prime(3), 2, range(2))
         assert any("unchecked" in a for a in pred.assumptions)
+
+    def test_matches_reference(self):
+        """Seeded grid against the one-branch-per-kind oracle: every kind
+        with each d its rule allows up to 4, random slot subsets (so some
+        predictions raise MissingInvariant), Semidirect with and without
+        mu_h, asserted hypotheses, p in {3, 5, 7}, ranges range(0),
+        range(6) and [2, 4]."""
+        rng = random.Random(71)
+        slot_names = ("mu", "lam", "l0", "rank", "rank_over_h", "mu_h")
+        outcomes = {"rows": 0, "missing": 0, "upper_bound": 0}
+        for kind in KINDS:
+            for d in range(1, 5):
+                try:
+                    ExtensionDescriptor(kind, d)
+                except ValueError:
+                    continue
+                for _ in range(480):
+                    ext = ExtensionDescriptor(
+                        kind,
+                        d,
+                        asserted_hypotheses=tuple(
+                            f"hypothesis {k}" for k in range(rng.randrange(3))
+                        ),
+                    )
+                    slots = {
+                        name: rng.randrange(-2, 6)
+                        for name in slot_names
+                        if rng.random() < 0.7
+                    }
+                    p = Prime(rng.choice((3, 5, 7)))
+                    rep = InvariantReport(p=p.p, d=d, method="fitted", **slots)
+                    n_range = rng.choice((range(0), range(6), [2, 4]))
+                    try:
+                        want = format_prediction_tsv(
+                            reference_predict_growth(rep, ext, p, 2, n_range)
+                        )
+                    except MissingInvariant as exc:
+                        with pytest.raises(MissingInvariant) as got:
+                            predict_growth(rep, ext, p, 2, n_range)
+                        assert str(got.value) == str(exc)
+                        outcomes["missing"] += 1
+                        continue
+                    got = format_prediction_tsv(predict_growth(rep, ext, p, 2, n_range))
+                    assert got == want
+                    outcomes["rows"] += 1
+                    outcomes["upper_bound"] += "UPPER_BOUND" in want
+        assert min(outcomes.values()) > 0, outcomes
 
 
 class TestModPH2:
