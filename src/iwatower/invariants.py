@@ -23,6 +23,7 @@ from .errors import (
     NotSquare,
 )
 from .modules import ModulePresentation
+from .padic import Prime
 from .series import char_poly, weierstrass_prepare
 
 VERDICT_CONSISTENT = "window-consistent"
@@ -143,6 +144,7 @@ class GrowthModel:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown model family {self.family!r}")
+        Prime(self.p)
         _FAMILIES[self.family].check_d(self.d, self.family)
 
 

@@ -2,28 +2,30 @@
 algebra: coinvariants at tower levels, Smith normal form over Z/p^N,
 and the independent resultant oracle for one-variable torsion sizes.
 
-Coinvariants work on the monomial basis modulo the level-n elements
-(1+T_j)^{p^n} - 1.  These are monic in distinct variables, so a
-monomial reduces one variable at a time through one table of reduced
-powers T^e, shared by all variables.  A term c*T^e times every
-multiplier T^a is then one block: c times the Kronecker product of the
-table slices red[e_j : e_j + p^n] (no Groebner machinery).  The full
-and the partial coinvariants are both built from these blocks.  The
-Smith normal form eliminates one p-adic valuation layer at a time
-(Cohen, GTM 138, section 2.4) in numpy int64 arithmetic, which needs
-p^N <= floor(sqrt(2^63 - 1)).
+Coinvariants reduce each variable T_j modulo one monic polynomial: a
+monic annihilator h(T_j) of the module of degree < p^n when its
+determinant gives one, else the level-n element (1+T_j)^{p^n} - 1.
+These are monic in distinct variables, so a monomial reduces one
+variable at a time through a table of reduced powers T^e per variable.
+A term c*T^e times every multiplier T^a is then one block: c times the
+Kronecker product of the table slices red_j[e_j : e_j + deg] (no
+Groebner machinery).  The full and the partial coinvariants are both
+built from these blocks.  The Smith normal form eliminates one p-adic
+valuation layer at a time (Cohen, GTM 138, section 2.4) in numpy int64
+arithmetic, which needs p^N <= floor(sqrt(2^63 - 1)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 import sympy
 
-from .errors import ContextMismatch, DimensionOverflow, PrecisionExhausted
+from .errors import ContextMismatch, DimensionOverflow, NotSquare, PrecisionExhausted
 from .padic import Prime, ord_p
-from .series import PrecisionContext, SeriesElement, omega_int_coeffs
+from .series import PrecisionContext, SeriesElement, char_poly, omega_int_coeffs
 
 #: default cap on the number of Z/p^N basis elements of a coinvariant.
 DEFAULT_DIMENSION_BOUND = 20000
@@ -173,13 +175,13 @@ def snf(matrix, p: Prime, N: int) -> AbelianShape:
 # ------------------------------------------------------------------
 
 
-def _reduction_table(p: int, N: int, n: int, size: int) -> np.ndarray:
-    """red[e] = coefficients mod p^N of T^e reduced modulo the level
-    element (1+T)^{p^n} - 1, for e < size: the identity below p^n, then
-    T^e = T * T^(e-1) with T^(p^n) = -sum_{0<i<p^n} C(p^n, i) T^i."""
-    q = p ** n
-    m = p ** N
-    w = np.array([-c % m for c in omega_int_coeffs(p, n)[:q]], dtype=np.int64)
+def _reduction_table(modulus, m: int, size: int) -> np.ndarray:
+    """red[e] = coefficients mod m of T^e reduced modulo the monic
+    polynomial `modulus` (integer coefficients, constant term first) of
+    degree q, for e < size: the identity below q, then T^e = T * T^(e-1)
+    with T^q = -sum_{i<q} modulus[i] T^i."""
+    q = len(modulus) - 1
+    w = np.array([-c % m for c in modulus[:q]], dtype=np.int64)
     red = np.zeros((size, q), dtype=np.int64)
     red[:q] = np.eye(q, dtype=np.int64)
     for e in range(q, size):
@@ -188,48 +190,67 @@ def _reduction_table(p: int, N: int, n: int, size: int) -> np.ndarray:
     return red
 
 
-def _level_terms(M: ModulePresentation, n: int, variables):
-    """Reduce the terms of M modulo the level-n elements of `variables`.
-    For each term c*T^e of entry (relation i, generator g) yields
-    (i, g, the exponents of e outside `variables`, block).  Row a of the
-    block is c*T^(a+e) reduced, on the columns T^b; a and b run over the
-    exponents < p^n in `variables`, in np.ndindex order.  The block is c
-    times the Kronecker product of the slices red[e_v : e_v + p^n], mod
-    p^N.  Blocks are full size, so a consumer holds one at a time."""
+def _level_terms(M: ModulePresentation, moduli: dict):
+    """Reduce the terms of M modulo the monic moduli[v] in each variable
+    v of `moduli`.  For each term c*T^e of entry (relation i, generator
+    g) yields (i, g, the exponents of e outside `moduli`, block).  Row a
+    of the block is c*T^(a+e) reduced, on the columns T^b; a_v and b_v
+    run below deg moduli[v], in np.ndindex order.  The block is c times
+    the Kronecker product of the slices red_v[e_v : e_v + deg moduli[v]]
+    of each variable's table, mod p^N.  Blocks are full size, so a
+    consumer holds one at a time."""
     ctx = M.context
-    p, N = ctx.p.p, ctx.N
-    m = _int64_modulus(p, N)
-    q = p ** n
-    keep = [j for j in range(ctx.d) if j not in variables]
-    top = max(
-        (exps[v] for row in M.relations for entry in row
-         for exps in entry.coefficients for v in variables),
-        default=0,
-    )
-    red = _reduction_table(p, N, n, q + top)
+    m = _int64_modulus(ctx.p.p, ctx.N)
+    keep = [j for j in range(ctx.d) if j not in moduli]
+    # exponents are at most D, so D more rows than the degree suffice
+    tables = [(v, _reduction_table(h, m, len(h) + ctx.D)) for v, h in moduli.items()]
     for i, row in enumerate(M.relations):
         for g, entry in enumerate(row):
             for exps, c in entry.coefficients.items():
                 block = np.full((1, 1), c, dtype=np.int64)
-                for v in variables:
-                    block = np.kron(block, red[exps[v]:exps[v] + q])
+                for v, red in tables:
+                    block = np.kron(block, red[exps[v]:exps[v] + red.shape[1]])
                     block %= m
                 yield i, g, tuple(exps[j] for j in keep), block
 
 
-def _relation_matrix(M: ModulePresentation, n: int) -> np.ndarray:
-    """The level-n relation matrix on the monomial basis: row
+def _relation_matrix(M: ModulePresentation, moduli: dict) -> np.ndarray:
+    """The relation matrix on the monomials reduced modulo `moduli`: row
     (relation, multiplier T^a), column (generator, monomial T^b)."""
-    ctx = M.context
-    b = ctx.p.p ** (n * ctx.d)
+    b = prod(len(h) - 1 for h in moduli.values())
     A = np.zeros((len(M.relations) * b, M.generators * b), dtype=np.int64)
-    for i, g, _, block in _level_terms(M, n, range(ctx.d)):
+    for i, g, _, block in _level_terms(M, moduli):
         # each block is < p^N <= 2^63 / _INT64_MODULUS_CAP, so the blocks
         # of an entry with fewer than 3 * 10^9 terms sum within int64
         A[i * b:(i + 1) * b, g * b:(g + 1) * b] += block
         del block  # free it before the next block is built
-    A %= ctx.modulus
+    A %= M.context.modulus
     return A
+
+
+def _annihilator(M: ModulePresentation):
+    """(j, h) for a monic h(T_j) with h * Lambda^k inside the relations,
+    as integer coefficients with the constant term first, or None.  h is
+    det(A) over its leading coefficient, for a square presentation A of
+    size <= CHAR_POLY_SIZE_BOUND whose determinant involves T_j alone and
+    leads with a unit: adj(A) * A = det * I.  Row degree sums <= D keep
+    the cofactor expansion from truncating.  With mu > 0 no coefficient
+    is a unit, and no Weierstrass preparation is tried."""
+    ctx, m = M.context, M.context.modulus
+    if any(sum(max(e.degree(v) for e in row) for row in M.relations) > ctx.D for v in range(ctx.d)):
+        return None
+    try:
+        det = char_poly(M.relation_matrix())
+    except (NotSquare, PrecisionExhausted):  # not square, too large, or det = 0
+        return None
+    support = {v for exps in det.coefficients for v in range(ctx.d) if exps[v]}
+    j = min(support, default=0)
+    coeffs = [0] * (det.degree(j) + 1)
+    for exps, c in det.coefficients.items():
+        coeffs[exps[j]] = c
+    if len(support) > 1 or coeffs[-1] % ctx.p.p == 0:
+        return None
+    return j, [c * pow(coeffs[-1], -1, m) % m for c in coeffs]
 
 
 def coinvariants(
@@ -239,20 +260,37 @@ def coinvariants(
 ) -> AbelianShape:
     """Shape of the level-n coinvariant quotient of M: the quotient of
     Lambda_d^k by the relation rows together with the level-n elements
-    (1+T_j)^{p^n} - 1 acting on every generator, computed on the
-    monomial basis with exponents < p^n per variable."""
+    w_n(T_j) = (1+T_j)^{p^n} - 1 acting on every generator.
+
+    With a monic annihilator h(T_j) (see _annihilator) of degree < p^n,
+    exponents of T_j are reduced modulo h, as (Z/p^N)[T_j]/(w_n, h) is
+    one ring whichever is reduced by first, and each generator gets the
+    level rows w_n(C_h) (x) I, C_h the companion matrix of h, from n
+    successive p-th powers of I + C_h.  Other variables, and all when no
+    such h exists (mu > 0, a non-monic determinant), keep exponents
+    < p^n.  `dimension_bound` caps this basis size, k * prod deg."""
     ctx = M.context
-    b = ctx.p.p ** (n * ctx.d)
-    basis = M.generators * b
+    p, N, k = ctx.p.p, ctx.N, M.generators
+    ann = _annihilator(M)
+    j, h = ann if ann and len(ann[1]) <= p ** n else (None, None)
+    basis = k * p ** (n * ctx.d) if h is None else k * (len(h) - 1) * p ** (n * ctx.d - n)
     if basis > dimension_bound:
-        raise DimensionOverflow(
-            f"basis size {basis} exceeds bound {dimension_bound}"
-        )
-    if not M.relations:
-        return AbelianShape((), basis, ctx.N)
-    nrows = len(M.relations) * b
+        raise DimensionOverflow(f"basis size {basis} exceeds bound {dimension_bound}")
+    if not M.relations or not basis:
+        return AbelianShape((), basis, N)
+    moduli = {v: h if v == j else omega_int_coeffs(p, n) for v in range(ctx.d)}
+    if h is not None:  # level rows w_n(T_j) e_g; w_n mod h is row 0 of w_n(C_h)
+        m = _int64_modulus(p, N)
+        x = np.eye(len(h) - 1, dtype=object) + _reduction_table(h, m, len(h))[1:]
+        for _ in range(n):
+            x = np.linalg.matrix_power(x, p) % m
+        w = SeriesElement.univariate(ctx, [x[0, 0] - 1, *x[0, 1:]], j)
+        M = ModulePresentation(ctx, k, M.relations + tuple(
+            tuple(w if g == i else SeriesElement.zero(ctx) for g in range(k)) for i in range(k)
+        ))
+    nrows = len(M.relations) * (basis // k)
     try:
-        return snf(_relation_matrix(M, n), ctx.p, ctx.N)
+        return snf(_relation_matrix(M, moduli), ctx.p, N)
     except MemoryError as exc:
         raise DimensionOverflow(
             f"the {nrows} x {basis} relation matrix ({8 * nrows * basis} bytes)"
@@ -288,7 +326,8 @@ def partial_coinvariants(
     new_ctx = PrecisionContext(ctx.p, ctx.N, d - len(variables), ctx.D)
     # rows[relation, multiplier][generator, monomial]: kept exponents -> coefficient
     rows = [[{} for _ in range(new_gens)] for _ in range(len(M.relations) * b)]
-    for i, g, kept, block in _level_terms(M, n, variables):
+    omega = omega_int_coeffs(ctx.p.p, n)
+    for i, g, kept, block in _level_terms(M, dict.fromkeys(variables, omega)):
         for a, mono in zip(*np.nonzero(block)):
             coeffs = rows[i * b + a][g * b + mono]
             coeffs[kept] = coeffs.get(kept, 0) + int(block[a, mono])

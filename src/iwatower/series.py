@@ -371,9 +371,10 @@ def weierstrass_prepare(f: SeriesElement, guard: int = 1) -> WeierstrassForm:
 
 
 def char_poly(matrix) -> SeriesElement:
-    """Determinant of a square matrix over the one-variable truncated
-    ring, by cofactor expansion on memoized column subsets (exact; no
-    divisions, so no non-unit pivot issues).  A nonzero determinant
+    """Determinant of a square matrix over the truncated ring in any
+    number of variables, by cofactor expansion on memoized column subsets
+    (no divisions, so no non-unit pivot issues).  It is exact when no
+    product passes the degree cap D.  For d = 1 a nonzero determinant
     certifies the presented cokernel is torsion and generates its
     characteristic ideal at working precision."""
     k = len(matrix)
@@ -387,8 +388,6 @@ def char_poly(matrix) -> SeriesElement:
     for row in matrix:
         for entry in row:
             entry._require_same_context(matrix[0][0])
-    if ctx.d != 1:
-        raise ValueError("char_poly requires d = 1")
     # minors[cols] = det of rows (k - len(cols))..k-1 restricted to cols
     minors = {(): SeriesElement.constant(ctx, 1)}
     for r in range(k - 1, -1, -1):

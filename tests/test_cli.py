@@ -66,8 +66,9 @@ class TestTower:
         assert main(["tower", str(path)]) == 1
 
     def test_oversized_flagged_exit_2(self, tmp_path):
+        # Lambda/(p) has mu = 1, so its basis stays p^n per level
         path = tmp_path / "mod.txt"
-        path.write_text(MODULE_DOC)
+        path.write_text(MODULE_DOC.replace("relation: T1 - p", "relation: p"))
         out = tmp_path / "t.tsv"
         # upper levels overflow the basis bound -> flagged rows, exit 2
         code = main(
@@ -78,6 +79,15 @@ class TestTower:
             l for l in out.read_text().splitlines()[1:] if "DimensionOverflow" in l
         ]
         assert flagged
+
+    def test_distinguished_within_bound(self, module_file, tmp_path):
+        # T1 - p is its own monic annihilator: one basis element per level
+        out = tmp_path / "t.tsv"
+        code = main(
+            ["tower", module_file, "--n-max", "5", "--dim-bound", "30", "--out", str(out)]
+        )
+        assert code == 0
+        assert out.read_text().splitlines()[1:] == [f"{n}\t{n + 1}\t0\t{n}\t-" for n in range(6)]
 
 
 class TestFitPredictPipeline:
@@ -144,6 +154,24 @@ class TestFitPredictPipeline:
             "1\t3\t0\t1\t-\n2\t9\t0\t2\t-\n"
         )
         assert main(["fit", str(path), "--model", "Iwasawa_d1", "--p", "3"]) == 1
+
+    @pytest.mark.parametrize("p", ["4", "1"])
+    def test_fit_non_prime_exit_1(self, p, tmp_path, capsys):
+        # fit rejects a non-prime p with the error predict gives
+        tower_out, fit_out = tmp_path / "tower.tsv", tmp_path / "fit.txt"
+        tower_out.write_text(
+            "n\tlog_torsion\tzp_rank\tlog_mod_pn\tflags\n"
+            + "".join(f"{n}\t{n + 1}\t0\t{n}\t-\n" for n in range(4))
+        )
+        report, desc = tmp_path / "report.txt", tmp_path / "desc.txt"
+        report.write_text("p=3\nd=1\nmethod=fitted\nmu=0\nlam=1\n")
+        desc.write_text(ZP_DESC)
+        capsys.readouterr()
+        assert main(["fit", str(tower_out), "--model", "Iwasawa_d1", "--p", p, "--out", str(fit_out)]) == 1
+        fit_err = capsys.readouterr().err
+        assert main(["predict", str(report), str(desc), "--p", p]) == 1
+        assert fit_err == capsys.readouterr().err == f"error: ValueError: not a prime: {p}\n"
+        assert not fit_out.exists()
 
     def test_misfit_exit_3(self, tmp_path, capsys):
         rows = ["n\tlog_torsion\tzp_rank\tlog_mod_pn\tflags"]

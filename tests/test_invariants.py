@@ -94,6 +94,11 @@ class TestGrowthModelValidation:
         with pytest.raises(ValueError):
             GrowthModel("CuocoMonsky", 3, 1)
 
+    @pytest.mark.parametrize("p", [4, 1, 0, -3])
+    def test_non_prime_p(self, p):
+        with pytest.raises(ValueError, match=f"not a prime: {p}"):
+            GrowthModel("Iwasawa_d1", p, 1)
+
 
 class TestFitGrowth:
     def test_pure_mu(self, ctx3):

@@ -22,7 +22,8 @@ from iwatower import (
     torsion_size_resultant_oracle,
     tower,
 )
-from iwatower.modules import _relation_matrix
+from iwatower.modules import _annihilator, _relation_matrix
+from iwatower.series import omega_int_coeffs
 from iwatower.selftest import _oracle_shape_exponents as oracle_exponents
 
 from conftest import cyclic_module, poly, reference_relation_matrix, reference_snf, split_module
@@ -206,7 +207,120 @@ class TestCoinvariants:
                 tuple(entry() for _ in range(k)) for _ in range(rng.randrange(0, 4))
             )
             M = ModulePresentation(ctx, k, relations)
-            assert np.array_equal(_relation_matrix(M, n), reference_relation_matrix(M, n))
+            # the level-n moduli of every module without a monic annihilator
+            moduli = dict.fromkeys(range(d), omega_int_coeffs(p, n))
+            assert np.array_equal(_relation_matrix(M, moduli), reference_relation_matrix(M, n))
+
+
+def annihilated_module(rng, d, k, p, N, degrees):
+    """A seeded square presentation whose determinant is a unit times a
+    monic polynomial in one variable T_j: an upper triangular matrix with
+    diagonal entries in T_j of the given degrees and unit leading
+    coefficients, entries above the diagonal in every variable with
+    exponents up to 7, and rows mixed by a unimodular scalar matrix."""
+    ctx = PrecisionContext(Prime(p), N, d, 30)
+    j = rng.randrange(d)
+
+    def diagonal(deg):
+        coeffs = [rng.randrange(ctx.modulus) for _ in range(deg)]
+        return SeriesElement.univariate(ctx, coeffs + [rng.randrange(1, p)], j)
+
+    def above():
+        return SeriesElement(ctx, {
+            tuple(rng.randrange(8) for _ in range(d)): rng.randrange(ctx.modulus)
+            for _ in range(rng.randrange(0, 3))
+        })
+
+    rows = [
+        [diagonal(deg) if g == i else above() if g > i else SeriesElement.zero(ctx) for g in range(k)]
+        for i, deg in enumerate(degrees)
+    ]
+    for i in range(1, k):  # row_i += c * row_t for t < i: determinant unchanged
+        for t in range(i):
+            c = SeriesElement.constant(ctx, rng.randrange(ctx.modulus))
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[t])]
+    rng.shuffle(rows)
+    return ModulePresentation(ctx, k, tuple(tuple(row) for row in rows))
+
+
+class TestReducedCoinvariants:
+    def test_matches_monomial_oracle(self):
+        # seeded modules with a monic annihilator h(T_j): coinvariants on
+        # the reduced basis equal the SNF of the full monomial matrix
+        rng = random.Random(61)
+        reduced = empty = high = 0
+        for case in range(80):
+            d, k, p = rng.randrange(1, 4), rng.randrange(1, 4), rng.choice([3, 5])
+            n = rng.randrange(1, 4 if d == 1 else 3)
+            while k * p ** (n * d) > 250:
+                n -= 1
+            degrees = [0] * k if case % 10 == 0 else [rng.randrange(1, 3) for _ in range(k)]
+            M = annihilated_module(rng, d, k, p, rng.randrange(2, 9), degrees)
+            j, h = _annihilator(M)
+            assert len(h) - 1 == sum(degrees)
+            if len(h) - 1 < p**n:
+                reduced += 1
+                empty += len(h) == 1
+                high += len(h) > 1 and any(
+                    e[j] >= len(h) - 1 for row in M.relations for x in row for e in x.coefficients
+                )
+            ctx = M.context
+            want = reference_snf(reference_relation_matrix(M, n), ctx.p, ctx.N)
+            assert coinvariants(M, n) == want, (case, d, k, p, n, degrees)
+        assert reduced >= 50 and empty >= 6 and high >= 35, (reduced, empty, high)
+
+    def test_truncated_determinant_is_not_used(self, p3):
+        # diag(f, f), f = T^2 + T + 1: det = f^2 has degree 4; at D = 3
+        # the expansion would drop T^4 and leave 2T^3 + ..., which leads
+        # with a unit but annihilates nothing; at D = 4 it is exact
+        for D, applies in ((3, False), (4, True)):
+            ctx = PrecisionContext(p3, 4, 1, D)
+            f, z = poly(ctx, [1, 1, 1]), SeriesElement.zero(ctx)
+            M = ModulePresentation(ctx, 2, ((f, z), (z, f)))
+            assert (_annihilator(M) is not None) == applies
+            want = reference_snf(reference_relation_matrix(M, 2), p3, 4)
+            assert coinvariants(M, 2) == want
+
+    def test_cyclic_matches_resultant_oracle(self):
+        # Lambda_1/(f) with mu = 0 and a unit leading coefficient
+        rng = random.Random(67)
+        tried = 0
+        for _ in range(24):
+            p = rng.choice([3, 5])
+            ctx = PrecisionContext(Prime(p), rng.randrange(4, 9), 1, 30)
+            deg = rng.randrange(1, 5)
+            f = poly(ctx, [rng.randrange(ctx.modulus) for _ in range(deg)] + [rng.randrange(1, p)])
+            M = ModulePresentation(ctx, 1, ((f,),))
+            for n in range(1, 4):
+                try:
+                    oracle = torsion_size_resultant_oracle(f, n)
+                except PrecisionExhausted:
+                    continue
+                shape = coinvariants(M, n)
+                if shape.zp_rank:
+                    continue
+                assert shape.log_torsion == oracle
+                tried += 1
+        assert tried >= 30
+
+    def test_closed_forms_beyond_the_monomial_basis(self, p3):
+        # Lambda/(T - 21), N = 19: v(22^(3^10) - 1) = 11 on one column
+        ctx = PrecisionContext(p3, 19, 1, 30)
+        assert coinvariants(cyclic_module(ctx, [-21, 1]), 10).torsion_exponents == (11,)
+        # Lambda_2/(T1 - 3u), N = 8: (n + 1) * 3^n on 3^n columns, where
+        # the monomial basis would have 3^(2n)
+        ctx = PrecisionContext(p3, 8, 2, 30)
+        f = SeriesElement(ctx, {(1, 0): 1, (0, 0): -3 * 7})
+        M = ModulePresentation(ctx, 1, ((f,),))
+        shape = coinvariants(M, 5)
+        assert (shape.log_torsion, shape.zp_rank) == (6 * 3**5, 0)
+        with pytest.raises(DimensionOverflow, match="basis size 243 exceeds bound 242"):
+            coinvariants(M, 5, dimension_bound=242)
+        # diag(T1 - p) on 3 generators: 3 * 5 * 3^4 on 243 columns at n = 4
+        g = SeriesElement(ctx, {(1, 0): 1, (0, 0): -3})
+        z = SeriesElement.zero(ctx)
+        diag = ModulePresentation(ctx, 3, ((g, z, z), (z, g, z), (z, z, g)))
+        assert coinvariants(diag, 4).log_torsion == 3 * 5 * 3**4
 
 
 class TestTower:
@@ -241,13 +355,14 @@ class TestTower:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="needs Linux RLIMIT_AS")
     def test_memory_error_flagged(self, tmp_path):
-        # diag(T1 - p) on 3 generators at d = 2: basis 19,683 at n = 4,
-        # within DEFAULT_DIMENSION_BOUND, but its 3 GB matrix cannot be
+        # diag(p) on 3 generators at d = 2 (mu > 0, so no annihilator
+        # shrinks the basis): basis 19,683 at n = 4, within
+        # DEFAULT_DIMENSION_BOUND, but its 3 GB matrix cannot be
         # allocated under 1 GiB of address space beyond the imports
         module = tmp_path / "diag.txt"
         module.write_text(
             "p: 3\nN: 8\nd: 2\nD: 30\ngenerators: 3\n"
-            "relation: T1 - p; 0; 0\nrelation: 0; T1 - p; 0\nrelation: 0; 0; T1 - p\n"
+            "relation: p; 0; 0\nrelation: 0; p; 0\nrelation: 0; 0; p\n"
         )
         script = textwrap.dedent(f"""
             import resource, sys
