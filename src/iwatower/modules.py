@@ -12,7 +12,9 @@ Kronecker product of the table slices red_j[e_j : e_j + deg] (no
 Groebner machinery).  The full and the partial coinvariants are both
 built from these blocks.  The Smith normal form eliminates one p-adic
 valuation layer at a time (Cohen, GTM 138, section 2.4) in numpy int64
-arithmetic, which needs p^N <= floor(sqrt(2^63 - 1)).
+arithmetic, which needs p^N <= floor(sqrt(2^63 - 1)).  Each layer pivots
+on the rows with a unit mod p, fewest nonzeros first to limit fill-in,
+and skips the rest, as they gain no unit within the layer (see snf).
 """
 
 from __future__ import annotations
@@ -138,11 +140,14 @@ def snf(matrix, p: Prime, N: int) -> AbelianShape:
     among `ncols` generators of (Z/p^N)^ncols.
 
     Eliminates one valuation layer at a time: at layer e the block
-    holds the unpivoted rows divided by p^e, modulo p^(N-e).  Each row
-    in turn pivots on its first unit mod p; the row, scaled to 1, is
+    holds the unpivoted rows divided by p^e, modulo p^(N-e).  A layer
+    drops the zero rows, then visits the rows with a unit mod p, fewest
+    nonzeros first (ties in row order) to limit fill-in.  A row still
+    holding a unit pivots on its first one; the row, scaled to 1, is
     cleared from the rows hit in the pivot column and then dropped.  A
-    scanned row without a unit keeps none, as it only loses multiples
-    of p.  With no unit left the block is divided by p.  Elementary
+    row without a unit is skipped: an update subtracts the pivot row
+    times the row's entry in the pivot column, 0 mod p, so it gains no
+    unit.  With no unit left the block is divided by p.  Elementary
     divisors do not depend on pivot order.  Each product is below
     (p^N - 1)^2 < 2^63 (see _INT64_MODULUS_CAP).
     """
@@ -152,8 +157,10 @@ def snf(matrix, p: Prime, N: int) -> AbelianShape:
     exps = []
     for e in range(N):
         m = q ** (N - e)
-        A = A[A.any(axis=1)]
-        for i in range(A.shape[0]):
+        nnz = np.count_nonzero(A, axis=1)
+        A, nnz = A[nnz > 0], nnz[nnz > 0]
+        rows = np.flatnonzero((A % q).any(axis=1))
+        for i in rows[np.argsort(nnz[rows], kind="stable")]:
             units = np.flatnonzero(A[i] % q)
             if not units.size:
                 continue
@@ -161,7 +168,8 @@ def snf(matrix, p: Prime, N: int) -> AbelianShape:
             pivot_row = A[i] * pow(int(A[i, j]), -1, m) % m
             A[i] = 0
             hit = np.flatnonzero(A[:, j])
-            A[hit] = (A[hit] - A[hit, j][:, None] * pivot_row) % m
+            if hit.size:
+                A[hit] = (A[hit] - A[hit, j][:, None] * pivot_row) % m
             exps.append(e)
         if len(exps) == cols:
             break
@@ -278,7 +286,8 @@ def coinvariants(
         raise DimensionOverflow(f"basis size {basis} exceeds bound {dimension_bound}")
     if not M.relations or not basis:
         return AbelianShape((), basis, N)
-    moduli = {v: h if v == j else omega_int_coeffs(p, n) for v in range(ctx.d)}
+    omega = omega_int_coeffs(p, n) if h is None or ctx.d > 1 else None
+    moduli = {v: h if v == j else omega for v in range(ctx.d)}
     if h is not None:  # level rows w_n(T_j) e_g; w_n mod h is row 0 of w_n(C_h)
         m = _int64_modulus(p, N)
         x = np.eye(len(h) - 1, dtype=object) + _reduction_table(h, m, len(h))[1:]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 from .errors import (
     ContextMismatch,
@@ -227,9 +226,13 @@ def omega(context: PrecisionContext, n: int, j: int = 0) -> SeriesElement:
 def omega_int_coeffs(p: int, n: int) -> list:
     """Exact integer coefficient list of (1+T)^{p^n} - 1 (constant term
     first), untruncated.  Used by the resultant oracle and by the
-    coinvariant reduction tables."""
+    coinvariant reduction tables.  C(q, e) = C(q, e - 1) * (q - e + 1) / e
+    is exact in integers and cheaper than a binomial per term."""
     q = p ** n
-    return [0] + [comb(q, e) for e in range(1, q + 1)]
+    coeffs = [0, q]
+    for e in range(2, q + 1):
+        coeffs.append(coeffs[-1] * (q - e + 1) // e)
+    return coeffs
 
 
 # -- one-variable Weierstrass theory ---------------------------------

@@ -1,5 +1,6 @@
 """Source hygiene that no installed linter checks: every name a module of
-the package imports is used in that module."""
+the package imports is used in that module, and the package has no
+`assert` statement, which `python -O` strips."""
 
 import ast
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 import iwatower
 
 PACKAGE = Path(iwatower.__file__).parent
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list:
@@ -55,3 +57,23 @@ def test_scan_flags_an_unused_import():
         "    return dataclass\n"
     )
     assert unused_imports(source) == ["line 2: field"]
+
+
+def assert_statements(source: str) -> list:
+    """Line numbers of the `assert` statements in `source`."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_statements(path.read_text()) == []
+
+
+def test_scan_flags_an_assert():
+    source = (
+        "def f(x):\n"
+        "    if x:\n"
+        "        assert x > 0, 'positive'\n"
+        "    return 'assert x'\n"
+    )
+    assert assert_statements(source) == [3]

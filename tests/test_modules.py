@@ -29,13 +29,18 @@ from iwatower.selftest import _oracle_shape_exponents as oracle_exponents
 from conftest import cyclic_module, poly, reference_relation_matrix, reference_snf, split_module
 
 
-SNF_KINDS = ("dense", "low_rank", "p_divisible", "tall_sparse", "zero_rows", "no_rows", "n_equals_1")
+SNF_KINDS = (
+    "dense", "low_rank", "p_divisible", "tall_sparse", "zero_rows", "no_rows", "n_equals_1",
+    "mixed_sparsity",
+)
 
 
 def snf_inputs(kind, count=8):
     """Seeded (matrix, p, N) inputs of one kind, small enough for the
     sympy oracle.  `tall_sparse` rows are e_a - e_b, like the group-ring
-    difference rows."""
+    difference rows.  `mixed_sparsity` puts two dense rows among rows
+    with one or two nonzeros, units and multiples of p, so that `snf`
+    pivots in an order other than the row order."""
     rng = np.random.default_rng(SNF_KINDS.index(kind))
     for _ in range(count):
         p = int(rng.choice([3, 5, 7]))
@@ -58,6 +63,12 @@ def snf_inputs(kind, count=8):
             A[rng.random(rows) < 0.5] = 0
         elif kind == "no_rows":
             A = A[:0]
+        elif kind == "mixed_sparsity":
+            A = np.zeros((2 * rows + 4, cols), dtype=np.int64)
+            for row in A:
+                at = rng.choice(cols, size=min(cols, int(rng.integers(1, 3))), replace=False)
+                row[at] = rng.integers(1, m, at.size) * p ** rng.integers(0, 2, at.size) % m
+            A[rng.choice(len(A), 2, replace=False)] = rng.integers(0, m, (2, cols))
         yield A, Prime(p), N
 
 
@@ -179,6 +190,19 @@ class TestCoinvariants:
             shape = coinvariants(M, n)
             assert shape.log_torsion == 3 * 3**n
             assert shape.zp_rank == 3**n
+
+    def test_fill_in_case(self, p3):
+        # mu = 2, lambda = 1 on the monomial basis: a sparse 486 x 486
+        # matrix at n = 5 that fills in unless the sparsest rows pivot first
+        ctx = PrecisionContext(p3, 12, 1, 30)
+        z = SeriesElement.zero(ctx)
+        M = ModulePresentation(ctx, 2, (
+            (poly(ctx, [9]), poly(ctx, [1, 1])),
+            (z, poly(ctx, [-3 * 7, 1])),
+        ))
+        shape = coinvariants(M, 5)
+        assert (shape.log_torsion, shape.zp_rank) == (2 * 3**5 + 6, 0)
+        assert shape == reference_snf(reference_relation_matrix(M, 5), p3, 12)
 
     def test_dimension_bound(self, ctx3):
         M = cyclic_module(ctx3, [9])

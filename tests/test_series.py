@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -97,6 +98,24 @@ class TestOmega:
             base = one + w
             composed = base * base * base - one
             assert composed == omega(ctx, n + 1)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_int_coeffs_are_binomials(self, p):
+        n = 0
+        while p**n <= 625:
+            q = p**n
+            assert iwatower.series.omega_int_coeffs(p, n) == [0] + [comb(q, e) for e in range(1, q + 1)]
+            n += 1
+
+    def test_int_coeffs_at_level_eight(self):
+        # (1 + T)^q - 1 at q = 3^8: C(q, e) = C(q, q - e), and the
+        # coefficients sum to 2^q - 1
+        q = 3**8
+        coeffs = iwatower.series.omega_int_coeffs(3, 8)
+        assert len(coeffs) == q + 1
+        assert coeffs[1:q] == coeffs[q - 1:0:-1]
+        assert (coeffs[0], coeffs[q]) == (0, 1)
+        assert sum(coeffs) == 2**q - 1
 
 
 class TestWeierstrassPrepare:
