@@ -2,14 +2,17 @@
 tower TSV tables, invariant-report records, K-group tables, extension
 descriptors, and prediction TSV output.
 
-All table formats are TSV with a single header row; structured inputs
-are line-oriented `key: value` documents with `#` comments, chosen over
-binary formats for auditability.
+Two layouts serve them all, chosen over binary formats for
+auditability.  Tables are TSV with one header row (`_read_tsv`,
+`_write_tsv`).  Module files, reports and descriptors are line-oriented
+`key: value` or `key=value` documents (`_fields`).  Both skip `#`
+comment lines; documents reject unknown and duplicate keys.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import MISSING, fields
 from fractions import Fraction
 
 from .invariants import InvariantReport
@@ -93,17 +96,73 @@ def format_polynomial(f: SeriesElement) -> str:
 
 
 # ------------------------------------------------------------------
+# the two shared layouts
+# ------------------------------------------------------------------
+
+
+def _fields(text: str, sep: str, single, repeated=()) -> dict:
+    """The `key<sep>value` lines of a document, `#` comments and blank
+    lines skipped: a key in `single` maps to its value and may appear at
+    most once, a key in `repeated` maps to the list of its values (empty
+    when absent).  Any other key is an error."""
+    record = {key: [] for key in repeated}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, found, value = (s.strip() for s in line.partition(sep))
+        if not found:
+            raise ValueError(f"malformed line (no {sep!r}): {line!r}")
+        if key in repeated:
+            record[key].append(value)
+        elif key not in single:
+            raise ValueError(f"unknown field {key!r}")
+        elif key in record:
+            raise ValueError(f"duplicate field {key!r}")
+        else:
+            record[key] = value
+    return record
+
+
+def _read_tsv(text: str, columns, what: str) -> list:
+    """The rows, as cell lists, of a TSV table whose header is `columns`;
+    blank lines and lines starting with `#` are skipped."""
+    lines = [l for l in text.splitlines() if l.strip() and not l.startswith("#")]
+    if not lines:
+        raise ValueError(f"empty {what} table")
+    header = tuple(lines[0].split("\t"))
+    if header != columns:
+        raise ValueError(f"unexpected {what} header: {header}")
+    rows = []
+    for line in lines[1:]:
+        cells = line.split("\t")
+        if len(cells) != len(columns):
+            raise ValueError(f"malformed {what} row: {line!r}")
+        rows.append(cells)
+    return rows
+
+
+def _write_tsv(columns, rows, comments=()) -> str:
+    lines = ["\t".join(columns)]
+    lines += ["\t".join(str(cell) for cell in row) for row in rows]
+    lines += [f"# {c}" for c in comments]
+    return "\n".join(lines) + "\n"
+
+
+def _ints(text: str) -> tuple:
+    """Decode a comma-separated list of integers (empty items ignored)."""
+    return tuple(int(x) for x in text.split(",") if x)
+
+
+def _join(values) -> str:
+    return ",".join(str(x) for x in values)
+
+
+# ------------------------------------------------------------------
 # module-presentation file
 # ------------------------------------------------------------------
 
 _HEADER_KEYS = ("p", "N", "d", "D", "generators")
-
-
-def _logical_lines(text: str):
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line
 
 
 def parse_module_file(text: str, N: int = None, D: int = None) -> ModulePresentation:
@@ -111,33 +170,16 @@ def parse_module_file(text: str, N: int = None, D: int = None) -> ModulePresenta
     D, generators, then `relation:` lines whose entries are
     `;`-separated polynomials (one per generator).  N and D arguments
     override the header values (command-line precision control)."""
-    header = {}
-    relation_lines = []
-    for line in _logical_lines(text):
-        if ":" not in line:
-            raise ValueError(f"malformed line (no colon): {line!r}")
-        key, value = (s.strip() for s in line.split(":", 1))
-        if key == "relation":
-            relation_lines.append(value)
-        elif key in _HEADER_KEYS:
-            if key in header:
-                raise ValueError(f"duplicate header field {key!r}")
-            header[key] = int(value)
-        else:
-            raise ValueError(f"unknown field {key!r}")
-    missing = [k for k in _HEADER_KEYS if k not in header]
+    record = _fields(text, ":", _HEADER_KEYS, ("relation",))
+    missing = [k for k in _HEADER_KEYS if k not in record]
     if missing:
         raise ValueError(f"missing header fields: {', '.join(missing)}")
-    if N is not None:
-        header["N"] = N
-    if D is not None:
-        header["D"] = D
-    context = PrecisionContext(
-        Prime(header["p"]), header["N"], header["d"], header["D"]
-    )
+    header = {k: int(record[k]) for k in _HEADER_KEYS}
+    header.update((k, v) for k, v in (("N", N), ("D", D)) if v is not None)
+    context = PrecisionContext(Prime(header["p"]), header["N"], header["d"], header["D"])
     k = header["generators"]
     relations = []
-    for value in relation_lines:
+    for value in record["relation"]:
         entries = [e.strip() for e in value.split(";")]
         if len(entries) != k:
             raise ValueError(
@@ -149,16 +191,11 @@ def parse_module_file(text: str, N: int = None, D: int = None) -> ModulePresenta
 
 def format_module_file(M: ModulePresentation) -> str:
     ctx = M.context
-    lines = [
-        f"p: {ctx.p.p}",
-        f"N: {ctx.N}",
-        f"d: {ctx.d}",
-        f"D: {ctx.D}",
-        f"generators: {M.generators}",
-    ]
-    for row in M.relations:
-        lines.append("relation: " + "; ".join(format_polynomial(e) for e in row))
-    return "\n".join(lines) + "\n"
+    header = zip(_HEADER_KEYS, (ctx.p.p, ctx.N, ctx.d, ctx.D, M.generators))
+    relations = ("; ".join(format_polynomial(e) for e in row) for row in M.relations)
+    return "".join(f"{k}: {v}\n" for k, v in header) + "".join(
+        f"relation: {r}\n" for r in relations
+    )
 
 
 # ------------------------------------------------------------------
@@ -169,37 +206,20 @@ TOWER_COLUMNS = ("n", "log_torsion", "zp_rank", "log_mod_pn", "flags")
 
 
 def format_tower_tsv(data) -> str:
-    lines = ["\t".join(TOWER_COLUMNS)]
-    for t in sorted(data, key=lambda t: t.n):
-        lines.append(
-            f"{t.n}\t{t.log_torsion}\t{t.zp_rank}\t{t.log_mod_pn}\t"
-            + (",".join(t.flags) if t.flags else "-")
-        )
-    return "\n".join(lines) + "\n"
+    return _write_tsv(TOWER_COLUMNS, (
+        (t.n, t.log_torsion, t.zp_rank, t.log_mod_pn, ",".join(t.flags) or "-")
+        for t in sorted(data, key=lambda t: t.n)
+    ))
 
 
 def parse_tower_tsv(text: str):
-    lines = [l for l in text.splitlines() if l.strip()]
-    if not lines:
-        raise ValueError("empty tower table")
-    header = tuple(lines[0].split("\t"))
-    if header != TOWER_COLUMNS:
-        raise ValueError(f"unexpected tower header: {header}")
+    """Tower rows; the flags cell is `-` or comma-separated flag names."""
     out = []
-    for line in lines[1:]:
-        cells = line.split("\t")
-        if len(cells) != len(TOWER_COLUMNS):
-            raise ValueError(f"malformed tower row: {line!r}")
-        n, lt, zr, lm, flags = cells
-        out.append(
-            TowerDatum(
-                int(n),
-                int(lt),
-                int(zr),
-                int(lm),
-                () if flags == "-" else tuple(flags.split(",")),
-            )
-        )
+    for n, lt, zr, lm, flags in _read_tsv(text, TOWER_COLUMNS, "tower"):
+        names = () if flags == "-" else tuple(flags.split(","))
+        if "" in names:
+            raise ValueError(f"empty flag name in tower row n = {n}: {flags!r}")
+        out.append(TowerDatum(int(n), int(lt), int(zr), int(lm), names))
     return out
 
 
@@ -207,58 +227,31 @@ def parse_tower_tsv(text: str):
 # invariant-report record (flat key=value text)
 # ------------------------------------------------------------------
 
-_REPORT_SLOTS = ("mu", "lam", "l0", "rank", "rank_over_h", "mu_h")
+#: report key -> decoder, in output order.  format_report writes a key
+#: unless it holds its InvariantReport default, and inverts each decoder.
+_REPORT_FIELDS = {
+    "p": int, "d": int, "method": str, "model": str,
+    **dict.fromkeys(("mu", "lam", "l0", "rank", "rank_over_h", "mu_h"), int),
+    "residuals": _ints, "window_bound": Fraction, "verdict": str,
+}
 
 
 def format_report(report: InvariantReport) -> str:
-    lines = [
-        f"p={report.p}",
-        f"d={report.d}",
-        f"method={report.method}",
-    ]
-    if report.model:
-        lines.append(f"model={report.model}")
-    for name in _REPORT_SLOTS:
-        value = getattr(report, name)
-        if value is not None:
-            lines.append(f"{name}={value}")
-    if report.residuals:
-        lines.append("residuals=" + ",".join(str(r) for r in report.residuals))
-    if report.window_bound is not None:
-        lines.append(f"window_bound={report.window_bound}")
-    if report.verdict:
-        lines.append(f"verdict={report.verdict}")
+    defaults = {f.name: f.default for f in fields(InvariantReport)}
+    lines = []
+    for key, decode in _REPORT_FIELDS.items():
+        value = getattr(report, key)
+        if value != defaults[key]:
+            lines.append(f"{key}={_join(value) if decode is _ints else value}")
     return "\n".join(lines) + "\n"
 
 
 def parse_report(text: str) -> InvariantReport:
-    fields = {}
-    for line in _logical_lines(text):
-        if "=" not in line:
-            raise ValueError(f"malformed record line: {line!r}")
-        key, value = line.split("=", 1)
-        fields[key.strip()] = value.strip()
-    for required in ("p", "d", "method"):
-        if required not in fields:
-            raise ValueError(f"missing record field {required!r}")
-    kwargs = {
-        "p": int(fields["p"]),
-        "d": int(fields["d"]),
-        "method": fields["method"],
-        "model": fields.get("model", ""),
-    }
-    for name in _REPORT_SLOTS:
-        if name in fields:
-            kwargs[name] = int(fields[name])
-    if "residuals" in fields:
-        kwargs["residuals"] = tuple(
-            int(x) for x in fields["residuals"].split(",") if x
-        )
-    if "window_bound" in fields:
-        kwargs["window_bound"] = Fraction(fields["window_bound"])
-    if "verdict" in fields:
-        kwargs["verdict"] = fields["verdict"]
-    return InvariantReport(**kwargs)
+    record = _fields(text, "=", _REPORT_FIELDS)
+    for f in fields(InvariantReport):
+        if f.default is MISSING and f.name not in record:
+            raise ValueError(f"missing record field {f.name!r}")
+    return InvariantReport(**{k: _REPORT_FIELDS[k](v) for k, v in record.items()})
 
 
 # ------------------------------------------------------------------
@@ -269,80 +262,41 @@ KTABLE_COLUMNS = ("field_label", "i", "decomposition", "source")
 
 
 def parse_ktable(text: str):
-    lines = [l for l in text.splitlines() if l.strip() and not l.startswith("#")]
-    if not lines:
-        raise ValueError("empty K-group table")
-    header = tuple(lines[0].split("\t"))
-    if header != KTABLE_COLUMNS:
-        raise ValueError(f"unexpected K-table header: {header}")
-    out = []
-    for line in lines[1:]:
-        cells = line.split("\t")
-        if len(cells) != len(KTABLE_COLUMNS):
-            raise ValueError(f"malformed K-table row: {line!r}")
-        label, i, decomposition, source = cells
-        out.append(
-            KGroupRecord(
-                field_label=label,
-                i=int(i),
-                order_decomposition=tuple(
-                    int(x) for x in decomposition.split(",") if x
-                ),
-                source=source,
-            )
-        )
-    return out
+    return [
+        KGroupRecord(label, int(i), _ints(decomposition), source)
+        for label, i, decomposition, source in _read_tsv(text, KTABLE_COLUMNS, "K-table")
+    ]
 
 
 def format_ktable(records) -> str:
-    lines = ["\t".join(KTABLE_COLUMNS)]
-    for r in records:
-        decomposition = ",".join(str(x) for x in r.order_decomposition)
-        lines.append(f"{r.field_label}\t{r.i}\t{decomposition}\t{r.source}")
-    return "\n".join(lines) + "\n"
+    return _write_tsv(KTABLE_COLUMNS, (
+        (r.field_label, r.i, _join(r.order_decomposition), r.source) for r in records
+    ))
+
+
+def _local_prime(value: str) -> LocalPrimeDatum:
+    """`label q [ramified|unramified]`, ramified when the flag is absent."""
+    parts = value.split()
+    if len(parts) not in (2, 3):
+        raise ValueError(f"malformed ramified_prime line: {value!r}")
+    if parts[2:] and parts[2] not in ("ramified", "unramified"):
+        raise ValueError(f"bad ramification flag {parts[2]!r}")
+    return LocalPrimeDatum(parts[0], int(parts[1]), parts[2:] != ["unramified"])
 
 
 def parse_descriptor(text: str) -> ExtensionDescriptor:
     """Extension-descriptor document: `kind:` and `d:` fields plus zero
     or more `ramified_prime: label q [ramified|unramified]`,
     `hypothesis:` and `note:` lines."""
-    kind = None
-    d = None
-    primes = []
-    hypotheses = []
-    notes = []
-    for line in _logical_lines(text):
-        if ":" not in line:
-            raise ValueError(f"malformed descriptor line: {line!r}")
-        key, value = (s.strip() for s in line.split(":", 1))
-        if key == "kind":
-            kind = value
-        elif key == "d":
-            d = int(value)
-        elif key == "ramified_prime":
-            parts = value.split()
-            if len(parts) not in (2, 3):
-                raise ValueError(f"malformed ramified_prime line: {value!r}")
-            ramified = True
-            if len(parts) == 3:
-                if parts[2] not in ("ramified", "unramified"):
-                    raise ValueError(f"bad ramification flag {parts[2]!r}")
-                ramified = parts[2] == "ramified"
-            primes.append(LocalPrimeDatum(parts[0], int(parts[1]), ramified))
-        elif key == "hypothesis":
-            hypotheses.append(value)
-        elif key == "note":
-            notes.append(value)
-        else:
-            raise ValueError(f"unknown descriptor field {key!r}")
-    if kind is None or d is None:
+    record = _fields(text, ":", ("kind", "d"), ("ramified_prime", "hypothesis", "note"))
+    if "kind" not in record or "d" not in record:
         raise ValueError("descriptor needs both 'kind' and 'd' fields")
     return ExtensionDescriptor(
-        kind=kind,
-        d=d,
-        ramified_primes=tuple(primes),
-        asserted_hypotheses=tuple(hypotheses),
-        notes=tuple(notes),
+        kind=record["kind"],
+        d=int(record["d"]),
+        ramified_primes=tuple(_local_prime(v) for v in record["ramified_prime"]),
+        asserted_hypotheses=tuple(record["hypothesis"]),
+        notes=tuple(record["note"]),
     )
 
 
@@ -350,14 +304,8 @@ PREDICTION_COLUMNS = ("n", "main_term", "o_class", "torsion_type", "theorem_tag"
 
 
 def format_prediction_tsv(prediction: TowerPrediction) -> str:
-    lines = ["\t".join(PREDICTION_COLUMNS)]
-    for row in prediction.rows:
-        tag = row.theorem_tag
-        if row.qualifier == "UPPER_BOUND":
-            tag += "[UPPER_BOUND]"
-        lines.append(
-            f"{row.n}\t{row.main_term}\t{row.o_class}\t{row.torsion_type}\t{tag}"
-        )
-    for a in prediction.assumptions:
-        lines.append(f"# {a}")
-    return "\n".join(lines) + "\n"
+    return _write_tsv(PREDICTION_COLUMNS, (
+        (r.n, r.main_term, r.o_class, r.torsion_type,
+         r.theorem_tag + ("[UPPER_BOUND]" if r.qualifier == "UPPER_BOUND" else ""))
+        for r in prediction.rows
+    ), prediction.assumptions)

@@ -186,7 +186,7 @@ class PredictionRow:
     o_class: str
     torsion_type: str  # "p^inf" or "p^n"
     theorem_tag: str
-    qualifier: str = "asymptotic"  # or "upper-bound"
+    qualifier: str = "asymptotic"  # or "UPPER_BOUND"
 
 
 @dataclass(frozen=True)

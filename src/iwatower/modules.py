@@ -277,6 +277,8 @@ def coinvariants(
     successive p-th powers of I + C_h.  Other variables, and all when no
     such h exists (mu > 0, a non-monic determinant), keep exponents
     < p^n.  `dimension_bound` caps this basis size, k * prod deg."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     ctx = M.context
     p, N, k = ctx.p.p, ctx.N, M.generators
     ann = _annihilator(M)
@@ -319,6 +321,8 @@ def partial_coinvariants(
 
     Needed for coinvariants along an inner factor of the tower group.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     ctx = M.context
     d = ctx.d
     variables = sorted(set(variables))
@@ -361,8 +365,6 @@ def tower(
             shape = coinvariants(M, n, dimension_bound)
         except DimensionOverflow:
             return TowerDatum(n, 0, 0, 0, ("DimensionOverflow",))
-        except PrecisionExhausted:
-            return TowerDatum(n, 0, 0, 0, ("PrecisionExhausted",))
         flags = ()
         if shape.torsion_exponents and shape.precision_margin < guard:
             flags = ("PrecisionMargin",)

@@ -103,20 +103,14 @@ def h1_local_order_tower(q: int, i: int, p: Prime, n: int) -> int:
     """Same as h1_local_order but at level n of a residue tower,
     where |k_n| = q^{p^n}: returns ord_p(q^{(i-1)p^n} - 1).
 
-    For odd p this is a + n once a = ord_p(q^{i-1} - 1) >= 1, and 0 for
-    all n if a = 0.
+    Requires odd p.  This is a + n once a = ord_p(q^{i-1} - 1) >= 1, and
+    0 for all n if a = 0: the order of q^{i-1} mod p is then prime to p, so
+    p-power exponents create no p-divisibility.
     """
+    p.require_odd()
     _check_local(q, i, p)
     if n < 0:
         raise HypothesisViolated(f"n must be >= 0, got {n}")
-    a = ord_p(pow(q, i - 1) - 1, p)
-    if a == 0:
-        # p odd and p does not divide q^{i-1}-1: the multiplicative
-        # order of q^{i-1} mod p is coprime to p, so raising to p-power
-        # exponents never creates p-divisibility.
-        if p.odd:
-            return 0
-        return ord_p(pow(q, (i - 1) * p.p ** n) - 1, p)
-    if n == 0:
-        return a
+    if ord_p(pow(q, i - 1) - 1, p) == 0:
+        return 0
     return valuation_tower(pow(q, i - 1), p, n)

@@ -147,6 +147,15 @@ class TestFitPredictPipeline:
         assert "Uniform kind requires d >= 1" in capsys.readouterr().err
         assert not pred_out.exists()
 
+    @pytest.mark.parametrize("extra", ["lamda=2\n", "mu=0\n"])
+    def test_predict_bad_report_key_exit_1(self, extra, tmp_path, capsys):
+        # a mistyped or repeated report key is an input error
+        report, desc = tmp_path / "report.txt", tmp_path / "desc.txt"
+        report.write_text("p=3\nd=1\nmethod=fitted\nmu=1\nlam=1\n" + extra)
+        desc.write_text(ZP_DESC)
+        assert main(["predict", str(report), str(desc), "--p", "3"]) == 1
+        assert "field" in capsys.readouterr().err
+
     def test_two_point_input_exit_1(self, tmp_path, capsys):
         path = tmp_path / "short.tsv"
         path.write_text(

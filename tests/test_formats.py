@@ -1,5 +1,8 @@
-import pytest
+import itertools
+import random
 from fractions import Fraction
+
+import pytest
 
 from iwatower import (
     InvariantReport,
@@ -117,6 +120,17 @@ class TestTowerTsv:
         with pytest.raises(ValueError):
             parse_tower_tsv("a\tb\n1\t2\n")
 
+    HEADER = "n\tlog_torsion\tzp_rank\tlog_mod_pn\tflags\n"
+
+    def test_comment_lines_skipped(self):
+        text = "# from tower --n-max 1\n" + self.HEADER + "0\t1\t0\t0\t-\n# end\n"
+        assert parse_tower_tsv(text) == [TowerDatum(0, 1, 0, 0)]
+
+    @pytest.mark.parametrize("flags", ["", "A,,B", ",A", "A,"])
+    def test_empty_flag_name_rejected(self, flags):
+        with pytest.raises(ValueError, match="empty flag name in tower row n = 3"):
+            parse_tower_tsv(self.HEADER + f"3\t4\t0\t3\t{flags}\n")
+
 
 class TestReportRecord:
     def test_roundtrip(self):
@@ -140,6 +154,38 @@ class TestReportRecord:
     def test_missing_required(self):
         with pytest.raises(ValueError):
             parse_report("p=3\nd=1\n")
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [("lamda=2\n", "unknown field 'lamda'"), ("mu=2\n", "duplicate field 'mu'")],
+    )
+    def test_unknown_or_duplicate_key(self, extra, message):
+        with pytest.raises(ValueError, match=message):
+            parse_report("p=3\nd=1\nmethod=fitted\nmu=1\n" + extra)
+
+    def test_seeded_roundtrip(self):
+        # every slot and window_bound None, 0 or nonzero; residuals empty or not
+        rng = random.Random(20261018)
+
+        def value(kind):
+            return rng.choice([-1, 1]) * rng.randrange(1, 10**6) if kind == "nonzero" else kind
+
+        names = ("mu", "lam", "l0", "rank", "rank_over_h", "mu_h", "window_bound")
+        for kinds in itertools.product((None, 0, "nonzero"), repeat=len(names)):
+            for residuals in ((), tuple(value("nonzero") for _ in range(rng.randrange(1, 6)))):
+                slots = {name: value(kind) for name, kind in zip(names, kinds)}
+                if slots["window_bound"]:
+                    slots["window_bound"] = Fraction(slots["window_bound"], rng.randrange(1, 50))
+                rep = InvariantReport(
+                    p=rng.choice([3, 5, 7]),
+                    d=rng.randrange(1, 4),
+                    method=rng.choice(["exact", "fitted"]),
+                    model=rng.choice(["", "Iwasawa_d1", "Semidirect_rank"]),
+                    residuals=residuals,
+                    verdict=rng.choice(["", "window-consistent"]),
+                    **slots,
+                )
+                assert parse_report(format_report(rep)) == rep
 
 
 class TestKTable:
@@ -174,6 +220,11 @@ note: demo
     def test_missing_kind(self):
         with pytest.raises(ValueError):
             parse_descriptor("d: 2\n")
+
+    @pytest.mark.parametrize("line", ["kind: Uniform\n", "d: 1\n"])
+    def test_duplicate_field(self, line):
+        with pytest.raises(ValueError, match="duplicate field"):
+            parse_descriptor("kind: Zp\nd: 1\n" + line)
 
     def test_zpd_ramified_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Source hygiene that no installed linter checks: every name a module of
-the package imports is used in that module, and the package has no
-`assert` statement, which `python -O` strips."""
+the package imports is used in that module, every private top-level name
+is read somewhere in the package, and the package has no `assert`
+statement, which `python -O` strips."""
 
 import ast
 from pathlib import Path
@@ -77,3 +78,59 @@ def test_scan_flags_an_assert():
         "    return 'assert x'\n"
     )
     assert assert_statements(source) == [3]
+
+
+def unread_private_names(sources: dict) -> list:
+    """Top-level `_name` definitions (functions, classes, assignments) in
+    `sources`, a map from module name to source text, that no module
+    reads: as a loaded name, an attribute, or a `from ... import` name.
+    Dunder names are skipped."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [
+                (module, node.lineno, name)
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(
+        f"{module} line {line}: {name}" for module, line, name in defined if name not in read
+    )
+
+
+def test_no_unread_private_names():
+    assert unread_private_names({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def test_scan_flags_an_unread_private_name():
+    sources = {
+        "a.py": (
+            "_TABLE = {}\n"
+            "_LEFT: int = 0\n"
+            "__all__ = []\n"
+            "def _helper():\n"
+            "    _local = 1\n"
+            "    return _TABLE\n"
+            "def _stale(lines):\n"
+            "    yield from lines\n"
+            "class _Kept:\n"
+            "    pass\n"
+        ),
+        "b.py": "from .a import _Kept\nimport a\nx = a._helper()\n",
+    }
+    assert unread_private_names(sources) == ["a.py line 2: _LEFT", "a.py line 7: _stale"]

@@ -209,6 +209,12 @@ class TestCoinvariants:
         with pytest.raises(DimensionOverflow):
             coinvariants(M, 2, dimension_bound=5)
 
+    def test_negative_level(self, ctx3, ctx3_d2):
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            coinvariants(cyclic_module(ctx3, [-3, 1]), -1)
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            partial_coinvariants(ModulePresentation(ctx3_d2, 1, ()), -1, [0])
+
     def test_relation_matrix_matches_reference(self):
         # seeded modules with zero entries and terms of degree >= p^n,
         # up to d = 3 and 3 generators

@@ -112,6 +112,11 @@ class TestH1LocalOrder:
         assert h1_local_order_tower(5, 2, Prime(3), 5) == 0
         assert h1_local_order_tower(4, 2, Prime(3), 0) == 1
 
+    def test_tower_rejects_two_at_every_level(self):
+        for n in (0, 1, 2):
+            with pytest.raises(OddPrimeRequired):
+                h1_local_order_tower(5, 2, Prime(2), n)
+
     @given(
         q=st.sampled_from([2, 4, 5, 7, 8, 11, 13]),
         i=st.integers(min_value=2, max_value=6),
