@@ -101,14 +101,13 @@ def format_polynomial(f: SeriesElement) -> str:
 
 
 def _fields(text: str, sep: str, single, repeated=()) -> dict:
-    """The `key<sep>value` lines of a document, `#` comments and blank
-    lines skipped: a key in `single` maps to its value and may appear at
-    most once, a key in `repeated` maps to the list of its values (empty
-    when absent).  Any other key is an error."""
+    """The `key<sep>value` lines of a document, blank lines and lines
+    that start with `#` skipped (a later `#` is data): a key in `single`
+    maps to its value and may appear at most once, a key in `repeated`
+    maps to its list of values (empty when absent); any other key fails."""
     record = {key: [] for key in repeated}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for line in map(str.strip, text.splitlines()):
+        if not line or line.startswith("#"):
             continue
         key, found, value = (s.strip() for s in line.partition(sep))
         if not found:

@@ -2,13 +2,11 @@
 augmentation-ideal quotients, subgroup coinvariants, and the fixed test
 corpus of small 3-groups.
 
-A group is its multiplication table, a list of rows with table[a][b] the
-index of ab, and every group helper is a lookup in it: the subgroup
-generated by a set is the orbit of the identity under right
-multiplication by the set (in a finite group that orbit is closed under
-products and inverses), the inverse of x is the column where row x holds
-the identity, and a subgroup is normal when its set of conjugates
-g*u*g^-1 is inside it.
+A group is its multiplication table (table[a][b] is the index of ab),
+and every group helper is an orbit under a few elements, found by
+lookups in it: `closure` multiplies only by elements that enlarge the
+orbit, `conjugates` conjugates only by the group's generating set, and
+`all_subgroups` closes each subgroup with one element per right coset.
 
 A module is (Z/p^N)[G]^k modulo the left submodule its relations
 generate.  Its quotient by every (w - 1)x with w in a subgroup K is
@@ -32,8 +30,9 @@ DEFAULT_ORDER_CAP = 243
 
 class FiniteGroup:
     """Explicit finite group: elements 0..order-1 with a multiplication
-    table.  The table is checked to be a group (entries in range,
-    identity, inverses, associativity) at construction."""
+    table, checked to be a group (entries in range, identity, inverses,
+    associativity); `generating_set` holds each element that the smaller
+    ones do not generate."""
 
     def __init__(self, table, name: str = "G"):
         table = [list(row) for row in table]
@@ -49,8 +48,12 @@ class FiniteGroup:
         self.table = table
         self.order = n
         self.name = name
+        self._all = frozenset(range(n))
         self.identity = self._find_identity()
         self.inverse = self._find_inverses()
+        self.generating_set = ()
+        while rest := self._all - self.closure(self.generating_set):
+            self.generating_set += (min(rest),)
         self._check_associativity()
 
     def _find_identity(self) -> int:
@@ -68,58 +71,78 @@ class FiniteGroup:
         return inv
 
     def _check_associativity(self):
-        """Light's test: x(gy) = (xg)y for g in a greedy generating set.
-        The g that pass are closed under products and the orbit of the
+        """Light's test: x(gy) = (xg)y for g in the generating set.  The
+        g that pass are closed under products and the orbit of the
         identity under the set is the whole table, so every g passes."""
         t = self.table
-        gens, span = [], frozenset({self.identity})
-        for g in range(self.order):
-            if g not in span:
-                gens.append(g)
-                span = self.closure(gens)
-        for g in gens:
+        for g in self.generating_set:
             for tx in t:
                 if [tx[gy] for gy in t[g]] != t[tx[g]]:
                     raise ValueError("multiplication table is not associative")
+
+    def _checked(self, elements) -> set:
+        found = set(elements)
+        if bad := found - self._all:
+            raise ValueError(f"{min(bad)!r} is not a group element 0..{self.order - 1}")
+        return found
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
     def closure(self, generators) -> frozenset:
         """Subgroup generated by the given elements: the orbit of the
-        identity under right multiplication by them."""
-        gens = set(generators)
-        seen, frontier = {self.identity}, {self.identity}
-        while frontier:
-            frontier = {self.table[x][g] for x in frontier for g in gens} - seen
-            seen |= frontier
+        identity under right multiplication by each of them, smallest
+        first, that is not yet in it.  In a finite group each such orbit
+        is a subgroup (g^-1 is a power of g), which maps to itself under
+        multiplication by an element inside it."""
+        t = self.table
+        todo, seen, used = self._checked(generators), {self.identity}, []
+        while todo := todo - seen:
+            used.append(min(todo))
+            frontier = {t[x][used[-1]] for x in seen} - seen
+            while frontier:
+                seen |= frontier
+                frontier = {t[x][g] for x in frontier for g in used} - seen
         return frozenset(seen)
 
     def is_normal(self, subgroup) -> bool:
+        """Whether the subgroup holds its conjugates."""
         sub = frozenset(subgroup)
         return self.conjugates(sub) <= sub
 
     def conjugates(self, elements) -> frozenset:
-        """All G-conjugates of the given elements."""
+        """All G-conjugates of the given elements: their orbit under
+        u -> g*u*g^-1 for g in `generating_set`, which is their orbit
+        under G as conjugation by a product is the composite of
+        conjugations and g^-1 is a power of g."""
         t, inv = self.table, self.inverse
-        return frozenset({t[t[g][u]][inv[g]] for g in range(self.order) for u in elements})
+        seen = frontier = frozenset(self._checked(elements))
+        while frontier:
+            frontier = {t[t[g][u]][inv[g]] for u in frontier for g in self.generating_set} - seen
+            seen |= frontier
+        return seen
+
+    def _right_cosets(self, subgroup):
+        """The index of each element's right coset Kx, numbering the
+        cosets by their smallest elements, and those elements."""
+        t, coset, reps = self.table, [None] * self.order, []
+        for x in range(self.order):
+            if coset[x] is None:
+                for k in subgroup:
+                    coset[t[k][x]] = len(reps)
+                reps.append(x)
+        return coset, reps
 
     def all_subgroups(self):
-        """Every subgroup, by closing generator sets (order-capped
-        groups only, so this stays tractable)."""
-        subs = {frozenset({self.identity})}
-        frontier = set(subs)
+        """Every subgroup, by closing each one found with one element of
+        each of its other right cosets: <S, s*x> = <S, x> for s in S."""
+        subs = frontier = {frozenset({self.identity})}
         while frontier:
-            new = set()
-            for sub in frontier:
-                for x in range(self.order):
-                    if x in sub:
-                        continue
-                    bigger = self.closure(sub | {x})
-                    if bigger not in subs:
-                        new.add(bigger)
-            subs |= new
-            frontier = new
+            frontier = {
+                self.closure(sub | {x})
+                for sub in frontier for x in self._right_cosets(sub)[1] if x not in sub
+            } - subs
+            subs = subs | frontier
         return sorted(subs, key=lambda s: (len(s), sorted(s)))
 
     def __repr__(self):
@@ -246,15 +269,10 @@ class FiniteGroupRingModule:
         G = self.group
         t = G.table
         K = G.closure(multipliers)
-        coset, reps = [None] * G.order, []
-        for x in range(G.order):
-            if coset[x] is None:
-                for k in K:
-                    coset[t[k][x]] = len(reps)
-                reps.append(x)
-        width = len(reps)
         if not self.relations:
-            return AbelianShape((), self.generators * width, self.N)
+            return AbelianShape((), self.generators * (G.order // len(K)), self.N)
+        coset, reps = G._right_cosets(K)
+        width = len(reps)
         rows = []
         for rel in self.relations:
             for g in reps:

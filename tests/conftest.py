@@ -174,6 +174,38 @@ def reference_closure(G, generators):
     return frozenset(seen)
 
 
+def reference_conjugates(G, elements):
+    """Test oracle for `FiniteGroup.conjugates`: g*u*g^-1 for every g in
+    G and every given u."""
+    t, inv = G.table, G.inverse
+    return frozenset({t[t[g][u]][inv[g]] for g in range(G.order) for u in elements})
+
+
+def reference_all_subgroups(G):
+    """Test oracle for `FiniteGroup.all_subgroups`: closes every subgroup
+    found with every element outside it, each closure the orbit of the
+    identity under right multiplication by all the given elements."""
+
+    def closure(gens):
+        seen, frontier = {G.identity}, {G.identity}
+        while frontier:
+            frontier = {G.table[x][g] for x in frontier for g in gens} - seen
+            seen |= frontier
+        return frozenset(seen)
+
+    subs = {frozenset({G.identity})}
+    frontier = set(subs)
+    while frontier:
+        new = set()
+        for sub in frontier:
+            for x in range(G.order):
+                if x not in sub and (bigger := closure(sub | {x})) not in subs:
+                    new.add(bigger)
+        subs |= new
+        frontier = new
+    return sorted(subs, key=lambda s: (len(s), sorted(s)))
+
+
 def reference_quotient_shape(M, multipliers):
     """Test oracle for `FiniteGroupRingModule.shape_of`: the abelian
     rows of the quotient on the basis (generator, group element), fed to

@@ -16,7 +16,14 @@ import spans
 from iwatower import groupring, modules
 
 spans.instrument(spans.Tracer())
-for owner, attr in [(modules, "snf"), (groupring.FiniteGroupRingModule, "shape_of")]:
+for owner, attr in [
+    (modules, "snf"),
+    (groupring, "corpus_groups"),
+    (groupring.FiniteGroup, "all_subgroups"),
+    (groupring, "augmentation_quotients"),
+    (groupring, "quotient_coinvariant_check"),
+    (groupring.FiniteGroupRingModule, "shape_of"),
+]:
     assert hasattr(getattr(owner, attr), "__wrapped__"), attr
 """
 

@@ -187,6 +187,10 @@ class TestReportRecord:
                 )
                 assert parse_report(format_report(rep)) == rep
 
+    def test_hash_in_value_roundtrip(self):
+        rep = InvariantReport(p=3, d=1, method="fitted", model="Iwasawa_d1#2", verdict="ok # see run #4")
+        assert parse_report(format_report(rep)) == rep
+
 
 class TestKTable:
     def test_roundtrip(self):
@@ -216,6 +220,18 @@ note: demo
         assert ext.ramified_primes[0].ramified
         assert not ext.ramified_primes[1].ramified
         assert ext.asserted_hypotheses == ("decomposition dimension 2",)
+
+    def test_hash_kept_in_values(self):
+        ext = parse_descriptor(
+            "# comment line\n"
+            "kind: Zp\n"
+            "d: 1\n"
+            "  # indented comment line\n"
+            "note: see table #12 for context\n"
+            "hypothesis: Leopoldt #conjecture holds\n"
+        )
+        assert ext.notes == ("see table #12 for context",)
+        assert ext.asserted_hypotheses == ("Leopoldt #conjecture holds",)
 
     def test_missing_kind(self):
         with pytest.raises(ValueError):

@@ -19,9 +19,17 @@ from iwatower import (
     semidirect_c3_c9,
 )
 
-from conftest import reference_closure, reference_is_associative, reference_quotient_shape
+from conftest import (
+    reference_all_subgroups,
+    reference_closure,
+    reference_conjugates,
+    reference_is_associative,
+    reference_quotient_shape,
+)
 
 CORPUS = {G.name: G for G, _, _ in corpus_groups(3)}
+C3 = cyclic_group(3)
+C3_4 = direct_product(direct_product(C3, C3), direct_product(C3, C3))
 
 
 def random_loop(rng, n):
@@ -141,13 +149,62 @@ class TestFiniteGroup:
         assert len(subs) == n_subgroups
         assert sum(G.is_normal(S) for S in subs) == n_normal
 
+    @pytest.mark.parametrize("G", [*CORPUS.values(), C3_4], ids=lambda G: G.name)
+    def test_all_subgroups_match_reference(self, G):
+        # the same list in the same order; C3^4 has 212 subgroups
+        assert G.all_subgroups() == reference_all_subgroups(G)
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_generating_set(self, name):
+        # each element is the smallest outside the subgroup the ones
+        # before it generate, and together they generate G
+        G = CORPUS[name]
+        gens = G.generating_set
+        for i, g in enumerate(gens):
+            span = G.closure(gens[:i])
+            assert g not in span and set(range(g)) <= span, gens
+        assert G.closure(gens) == frozenset(range(G.order))
+        assert 3 ** len(gens) <= G.order
+
     @pytest.mark.parametrize("name", CORPUS)
     def test_closure_matches_reference(self, name):
-        # every single element and every pair: 3,321 sets for C81
+        # every single element and every pair (3,321 sets for C81), every
+        # subgroup alone and with one element outside it, and seeded sets
+        # of 3-6 elements, where the closure skips the ones already generated
         G = CORPUS[name]
-        for k in (1, 2):
-            for gens in combinations(range(G.order), k):
-                assert G.closure(gens) == reference_closure(G, gens), gens
+        rng = random.Random(G.order)
+        sets = [set(gens) for k in (1, 2) for gens in combinations(range(G.order), k)]
+        sets += [S | {x} for S in G.all_subgroups() for x in {G.identity} | (set(range(G.order)) - S)]
+        sets += [set(rng.sample(range(G.order), rng.randint(3, min(6, G.order)))) for _ in range(300)]
+        for gens in sets:
+            assert G.closure(gens) == reference_closure(G, gens), sorted(gens)
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_conjugates_match_reference(self, name):
+        # every subgroup and seeded sets of 0-6 elements
+        G = CORPUS[name]
+        rng = random.Random(G.order)
+        sets = G.all_subgroups()
+        sets += [set(rng.sample(range(G.order), rng.randint(0, min(6, G.order)))) for _ in range(300)]
+        for S in sets:
+            assert G.conjugates(S) == reference_conjugates(G, S), sorted(S)
+
+    @pytest.mark.parametrize(
+        "call, bad",
+        [
+            pytest.param(lambda G, M: G.closure({-1}), -1, id="closure-negative"),
+            pytest.param(lambda G, M: G.closure({1, 5}), 5, id="closure-too-large"),
+            pytest.param(lambda G, M: G.conjugates({-2}), -2, id="conjugates"),
+            pytest.param(lambda G, M: G.is_normal({0, 3}), 3, id="is_normal"),
+            pytest.param(lambda G, M: M.shape_of({0, 7}), 7, id="shape_of"),
+            pytest.param(lambda G, M: augmentation_quotients(M, {-1}), -1, id="augmentation_quotients"),
+            pytest.param(lambda G, M: quotient_coinvariant_check(M, {0}, {-1}), -1, id="quotient_coinvariant_check"),
+        ],
+    )
+    def test_element_outside_group_rejected(self, call, bad):
+        M = group_ring_module(C3, Prime(3), 2)
+        with pytest.raises(ValueError, match=rf"^{bad} is not a group element 0\.\.2$"):
+            call(C3, M)
 
     @pytest.mark.parametrize("name", CORPUS)
     def test_is_normal_matches_definition(self, name):
