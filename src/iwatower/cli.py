@@ -10,7 +10,6 @@ Exit-code contract (fixed so shell pipelines can branch):
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 
 from .errors import (
@@ -127,10 +126,7 @@ def cmd_selftest(args) -> int:
     return code
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and shared by every
-    `main` call; callers must not modify it."""
+def _new_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iwatower",
         description=(
@@ -197,6 +193,15 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--out")
     st.set_defaults(func=cmd_selftest)
     return parser
+
+
+_PARSER = _new_parser()
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once at import and shared by every
+    `main` call; callers must not modify it."""
+    return _PARSER
 
 
 def main(argv=None) -> int:

@@ -125,8 +125,8 @@ def _fields(text: str, sep: str, single, repeated=()) -> dict:
 
 def _read_tsv(text: str, columns, what: str) -> list:
     """The rows, as cell lists, of a TSV table whose header is `columns`;
-    blank lines and lines starting with `#` are skipped."""
-    lines = [l for l in text.splitlines() if l.strip() and not l.startswith("#")]
+    blank lines and lines whose first non-blank character is `#` skipped."""
+    lines = [l for l in text.splitlines() if l.strip() and not l.lstrip().startswith("#")]
     if not lines:
         raise ValueError(f"empty {what} table")
     header = tuple(lines[0].split("\t"))

@@ -7,6 +7,9 @@ and every group helper is an orbit under a few elements, found by
 lookups in it: `closure` multiplies only by elements that enlarge the
 orbit, `conjugates` conjugates only by the group's generating set, and
 `all_subgroups` closes each subgroup with one element per right coset.
+A `FiniteGroup` is immutable after construction, so it memoises
+`closure` and `conjugates`: one entry per distinct argument set, freed
+with the group.
 
 A module is (Z/p^N)[G]^k modulo the left submodule its relations
 generate.  Its quotient by every (w - 1)x with w in a subgroup K is
@@ -51,6 +54,7 @@ class FiniteGroup:
         self._all = frozenset(range(n))
         self.identity = self._find_identity()
         self.inverse = self._find_inverses()
+        self._closures, self._conjugates = {}, {}
         self.generating_set = ()
         while rest := self._all - self.closure(self.generating_set):
             self.generating_set += (min(rest),)
@@ -80,11 +84,10 @@ class FiniteGroup:
                 if [tx[gy] for gy in t[g]] != t[tx[g]]:
                     raise ValueError("multiplication table is not associative")
 
-    def _checked(self, elements) -> set:
-        found = set(elements)
-        if bad := found - self._all:
+    def _checked(self, elements: frozenset) -> frozenset:
+        if bad := elements - self._all:
             raise ValueError(f"{min(bad)!r} is not a group element 0..{self.order - 1}")
-        return found
+        return elements
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -94,16 +97,21 @@ class FiniteGroup:
         identity under right multiplication by each of them, smallest
         first, that is not yet in it.  In a finite group each such orbit
         is a subgroup (g^-1 is a power of g), which maps to itself under
-        multiplication by an element inside it."""
+        multiplication by an element inside it.  Memoised on the group,
+        one entry per distinct set of elements."""
+        key = frozenset(generators)
+        if key in self._closures:
+            return self._closures[key]
         t = self.table
-        todo, seen, used = self._checked(generators), {self.identity}, []
+        todo, seen, used = self._checked(key), {self.identity}, []
         while todo := todo - seen:
             used.append(min(todo))
             frontier = {t[x][used[-1]] for x in seen} - seen
             while frontier:
                 seen |= frontier
                 frontier = {t[x][g] for x in frontier for g in used} - seen
-        return frozenset(seen)
+        self._closures[key] = result = frozenset(seen)
+        return result
 
     def is_normal(self, subgroup) -> bool:
         """Whether the subgroup holds its conjugates."""
@@ -114,12 +122,17 @@ class FiniteGroup:
         """All G-conjugates of the given elements: their orbit under
         u -> g*u*g^-1 for g in `generating_set`, which is their orbit
         under G as conjugation by a product is the composite of
-        conjugations and g^-1 is a power of g."""
+        conjugations and g^-1 is a power of g.  Memoised on the group, one
+        entry per distinct set of elements."""
+        key = frozenset(elements)
+        if key in self._conjugates:
+            return self._conjugates[key]
         t, inv = self.table, self.inverse
-        seen = frontier = frozenset(self._checked(elements))
+        seen = frontier = self._checked(key)
         while frontier:
             frontier = {t[t[g][u]][inv[g]] for u in frontier for g in self.generating_set} - seen
             seen |= frontier
+        self._conjugates[key] = seen
         return seen
 
     def _right_cosets(self, subgroup):

@@ -126,6 +126,11 @@ class TestTowerTsv:
         text = "# from tower --n-max 1\n" + self.HEADER + "0\t1\t0\t0\t-\n# end\n"
         assert parse_tower_tsv(text) == [TowerDatum(0, 1, 0, 0)]
 
+    @pytest.mark.parametrize("indent", [" ", "  ", "\t"])
+    def test_indented_comment_lines_skipped(self, indent):
+        text = f"{indent}# from tower\n" + self.HEADER + f"0\t1\t0\t0\t-\n{indent}# end\n"
+        assert parse_tower_tsv(text) == [TowerDatum(0, 1, 0, 0)]
+
     @pytest.mark.parametrize("flags", ["", "A,,B", ",A", "A,"])
     def test_empty_flag_name_rejected(self, flags):
         with pytest.raises(ValueError, match="empty flag name in tower row n = 3"):
@@ -201,6 +206,12 @@ class TestKTable:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             parse_ktable("x\ty\n")
+
+    @pytest.mark.parametrize("indent", [" ", "  ", "\t"])
+    def test_indented_comment_lines_skipped(self, indent):
+        lines = format_ktable(BUILTIN_KTABLE).splitlines(keepends=True)
+        text = f"{indent}# built in\n" + lines[0] + f"{indent}# rows\n" + "".join(lines[1:])
+        assert parse_ktable(text) == list(BUILTIN_KTABLE)
 
 
 class TestDescriptor:

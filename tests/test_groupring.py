@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -219,6 +220,97 @@ class TestFiniteGroup:
         center = h.closure({1})  # (0,0,1) generates the center
         assert h.is_normal(center)
         assert h.conjugates(center) == center
+
+
+def seeded_modules(G, rng):
+    """The group ring at N = 2 and two seeded modules with relations,
+    whose quotients `shape_of` sends to the Smith normal form."""
+    modules = [group_ring_module(G, Prime(3), 2)]
+    for _ in range(2):
+        k = rng.randint(1, 2)
+        relations = tuple(
+            tuple({rng.randrange(G.order): rng.randrange(-9, 10) for _ in range(rng.randint(1, 3))} for _ in range(k))
+            for _ in range(rng.randint(1, 2))
+        )
+        modules.append(FiniteGroupRingModule(G, Prime(3), rng.randint(1, 3), generators=k, relations=relations))
+    return modules
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except HypothesisViolated as exc:
+        return repr(exc)
+
+
+class TestMemo:
+    """`closure` and `conjugates` are memoised on each group, keyed by
+    the set of elements they are given."""
+
+    REFERENCE = {"closure": reference_closure, "conjugates": reference_conjugates}
+
+    def test_second_call_returns_the_first_result(self):
+        for G, _, _ in corpus_groups(3):
+            rng = random.Random(G.order)
+            sets = G.all_subgroups()
+            sets += [set(rng.sample(range(G.order), rng.randint(0, min(4, G.order)))) for _ in range(40)]
+            calls = [(method, S) for method in self.REFERENCE for S in sets] * 2
+            rng.shuffle(calls)
+            first = {}
+            for method, S in calls:
+                # a list of the same elements in another order finds the same entry
+                got = getattr(G, method)(rng.sample(sorted(S), len(S)))
+                assert got == self.REFERENCE[method](G, S), (G.name, method, sorted(S))
+                assert first.setdefault((method, frozenset(S)), got) is got, (G.name, method, sorted(S))
+
+    @pytest.mark.parametrize("method", REFERENCE)
+    def test_outside_element_raises_every_time(self, method):
+        G = heisenberg(3)
+        call = getattr(G, method)
+        for valid in ([], [{1, 3}, [3, 1], *G.all_subgroups()]):
+            for S in valid:
+                assert call(S) == self.REFERENCE[method](G, S), sorted(S)
+            for bad in ({27}, {1, 27}, {-1}):
+                with pytest.raises(ValueError, match="is not a group element 0..26"):
+                    call(bad)
+
+    @pytest.mark.parametrize(
+        "build_a, build_b, method, S",
+        [
+            (lambda: cyclic_group(9), lambda: direct_product(C3, C3), "closure", {1}),
+            (lambda: heisenberg(3), lambda: direct_product(direct_product(C3, C3), C3), "conjugates", {3}),
+            (lambda: semidirect_c3_c9(), lambda: cyclic_group(27), "conjugates", {1}),
+        ],
+        ids=["C9-C3xC3", "Heis3-C3xC3xC3", "C9:C3-C27"],
+    )
+    def test_groups_of_one_order_keep_their_own_results(self, build_a, build_b, method, S):
+        A, B = build_a(), build_b()
+        assert A.order == B.order
+        assert getattr(A, method)(S) != getattr(B, method)(S)
+        for T in [S, {1, 3}, {2}, S]:
+            for G in (A, B, A, B):
+                for name, reference in self.REFERENCE.items():
+                    assert getattr(G, name)(T) == reference(G, T), (G.name, name, sorted(T))
+
+    def test_lemma_results_do_not_depend_on_call_order(self):
+        # an augmentation quotient for every subgroup and seeded set and a
+        # quotient-coinvariant check for every pair of subgroups, over the
+        # group ring and seeded modules with relations, in a seeded order
+        # on one warm group, against the same call on a new group
+        for G, _, _ in corpus_groups(3):
+            rng = random.Random(G.order + 1)
+            subs = G.all_subgroups()
+            sets = subs + [set(rng.sample(range(G.order), rng.randint(1, min(3, G.order)))) for _ in range(10)]
+            ops = [
+                (op, M, args)
+                for M in seeded_modules(G, rng)
+                for op, args in [(augmentation_quotients, (U,)) for U in sets]
+                + [(quotient_coinvariant_check, (A, B)) for A in subs for B in subs]
+            ]
+            rng.shuffle(ops)
+            for op, M, args in ops:
+                cold = replace(M, group=FiniteGroup(G.table, G.name))
+                assert outcome(op, M, *args) == outcome(op, cold, *args), (G.name, op.__name__, M.relations, args)
 
 
 class TestModuleValidation:

@@ -1,7 +1,9 @@
 """Source hygiene that no installed linter checks: every name a module of
 the package imports is used in that module, every private top-level name
-is read somewhere in the package, and the package has no `assert`
-statement, which `python -O` strips."""
+is read somewhere in the package, the package has no `assert`
+statement, which `python -O` strips, and no `functools.cache` or
+`functools.lru_cache`, whose entries outlive the objects they describe:
+a cache lives on its object."""
 
 import ast
 from pathlib import Path
@@ -134,3 +136,47 @@ def test_scan_flags_an_unread_private_name():
         "b.py": "from .a import _Kept\nimport a\nx = a._helper()\n",
     }
     assert unread_private_names(sources) == ["a.py line 2: _LEFT", "a.py line 7: _stale"]
+
+
+FUNCTOOLS_CACHES = {"cache", "lru_cache"}
+
+
+def functools_caches(source: str) -> list:
+    """Line numbers in `source` that import `cache` or `lru_cache` from
+    `functools`, or read either as an attribute of a name the module
+    binds to `functools`."""
+    tree = ast.parse(source)
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "functools"
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for alias in node.names if alias.name in FUNCTOOLS_CACHES]
+        elif isinstance(node, ast.Attribute) and node.attr in FUNCTOOLS_CACHES:
+            if isinstance(node.value, ast.Name) and node.value.id in modules:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_functools_caches(path):
+    assert functools_caches(path.read_text()) == []
+
+
+def test_scan_flags_a_functools_cache():
+    source = (
+        "import functools\n"
+        "import functools as ft\n"
+        "from functools import reduce, lru_cache as memo\n"
+        "@functools.cache\n"
+        "def f(x):\n"
+        "    return x\n"
+        "g = ft.lru_cache(maxsize=None)(f)\n"
+        "cache = {}\n"
+        "def h(self):\n"
+        "    return self.cache, self.lru_cache, functools.reduce, reduce, cache\n"
+    )
+    assert functools_caches(source) == [3, 4, 7]
