@@ -9,7 +9,7 @@ orbit, `conjugates` conjugates only by the group's generating set, and
 `all_subgroups` closes each subgroup with one element per right coset.
 A `FiniteGroup` is immutable after construction, so it memoises
 `closure` and `conjugates`: one entry per distinct argument set, freed
-with the group.
+with the group, and one per subgroup that `all_subgroups` finds.
 
 A module is (Z/p^N)[G]^k modulo the left submodule its relations
 generate.  Its quotient by every (w - 1)x with w in a subgroup K is
@@ -93,25 +93,28 @@ class FiniteGroup:
         return self.table[a][b]
 
     def closure(self, generators) -> frozenset:
-        """Subgroup generated by the given elements: the orbit of the
-        identity under right multiplication by each of them, smallest
-        first, that is not yet in it.  In a finite group each such orbit
-        is a subgroup (g^-1 is a power of g), which maps to itself under
-        multiplication by an element inside it.  Memoised on the group,
-        one entry per distinct set of elements."""
+        """Subgroup generated by the given elements (see _close).
+        Memoised on the group, one entry per distinct set of elements."""
         key = frozenset(generators)
-        if key in self._closures:
-            return self._closures[key]
+        if key not in self._closures:
+            self._closures[key] = self._close(self._checked(key))
+        return self._closures[key]
+
+    def _close(self, generators: frozenset) -> frozenset:
+        """The orbit of the identity under right multiplication by each
+        of the given elements, smallest first, that is not yet in it.  In
+        a finite group each such orbit is a subgroup (g^-1 is a power of
+        g), which maps to itself under multiplication by an element
+        inside it."""
         t = self.table
-        todo, seen, used = self._checked(key), {self.identity}, []
+        todo, seen, used = generators, {self.identity}, []
         while todo := todo - seen:
             used.append(min(todo))
             frontier = {t[x][used[-1]] for x in seen} - seen
             while frontier:
                 seen |= frontier
                 frontier = {t[x][g] for x in frontier for g in used} - seen
-        self._closures[key] = result = frozenset(seen)
-        return result
+        return frozenset(seen)
 
     def is_normal(self, subgroup) -> bool:
         """Whether the subgroup holds its conjugates."""
@@ -148,14 +151,18 @@ class FiniteGroup:
 
     def all_subgroups(self):
         """Every subgroup, by closing each one found with one element of
-        each of its other right cosets: <S, s*x> = <S, x> for s in S."""
+        each of its other right cosets: <S, s*x> = <S, x> for s in S.
+        Those sets are closed without the memo, which then records each
+        subgroup found as its own closure."""
         subs = frontier = {frozenset({self.identity})}
         while frontier:
             frontier = {
-                self.closure(sub | {x})
+                self._close(sub | {x})
                 for sub in frontier for x in self._right_cosets(sub)[1] if x not in sub
             } - subs
             subs = subs | frontier
+        for sub in subs:
+            self._closures.setdefault(sub, sub)
         return sorted(subs, key=lambda s: (len(s), sorted(s)))
 
     def __repr__(self):

@@ -2,10 +2,12 @@
 algebra: coinvariants at tower levels, Smith normal form over Z/p^N,
 and the independent resultant oracle for one-variable torsion sizes.
 
-Coinvariants reduce each variable T_j modulo one monic polynomial: a
-monic annihilator h(T_j) of the module of degree < p^n when its
-determinant gives one, else the level-n element (1+T_j)^{p^n} - 1.
-These are monic in distinct variables, so a monomial reduces one
+Coinvariants split the module into direct summands first and expand
+each summand only in the variables its relations use: a variable it
+does not use multiplies the copies of its coinvariants by p^n.  Each
+used variable T_j is reduced modulo one monic polynomial: a monic
+annihilator h(T_j) of the summand of degree < p^n when its determinant
+gives one, else the level-n element (1+T_j)^{p^n} - 1.  These are monic in distinct variables, so a monomial reduces one
 variable at a time through a table of reduced powers T^e per variable.
 A term c*T^e times every multiplier T^a is then one block: c times the
 Kronecker product of the table slices red_j[e_j : e_j + deg] (no
@@ -261,6 +263,23 @@ def _annihilator(M: ModulePresentation):
     return j, [c * pow(coeffs[-1], -1, m) % m for c in coeffs]
 
 
+def _summands(M: ModulePresentation) -> list:
+    """Direct summands of M, relations and generators kept in order: the
+    components of the graph linking relation i to generator g when entry
+    (i, g) is nonzero.  All-zero relations are dropped; a generator that
+    no relation touches is a free summand."""
+    parts = [({g}, []) for g in range(M.generators)]
+    for i, row in enumerate(M.relations):
+        hit = [part for part in parts if any(row[g].coefficients for g in part[0])]
+        if hit:
+            parts = [part for part in parts if part not in hit]
+            parts.append((set().union(*(gs for gs, _ in hit)), [r for _, rs in hit for r in rs] + [i]))
+    return [
+        ModulePresentation(M.context, len(gs), tuple(tuple(M.relations[i][g] for g in sorted(gs)) for i in sorted(rs)))
+        for gs, rs in parts
+    ]
+
+
 def coinvariants(
     M: ModulePresentation,
     n: int,
@@ -270,43 +289,62 @@ def coinvariants(
     Lambda_d^k by the relation rows together with the level-n elements
     w_n(T_j) = (1+T_j)^{p^n} - 1 acting on every generator.
 
-    With a monic annihilator h(T_j) (see _annihilator) of degree < p^n,
-    exponents of T_j are reduced modulo h, as (Z/p^N)[T_j]/(w_n, h) is
-    one ring whichever is reduced by first, and each generator gets the
-    level rows w_n(C_h) (x) I, C_h the companion matrix of h, from n
-    successive p-th powers of I + C_h.  Other variables, and all when no
-    such h exists (mu > 0, a non-monic determinant), keep exponents
-    < p^n.  `dimension_bound` caps this basis size, k * prod deg."""
+    Coinvariants of a direct sum are the sum of the coinvariants, so each
+    summand S of M (see _summands) is taken alone and the exponents are
+    merged in sorted order.  If the relations of S use only the variables
+    in U, S is S' (x) Z_p[[T_v : v not in U]], and its coinvariants are
+    p^(n(d - #U)) copies of those of S' over U.
+
+    With a monic annihilator h(T_j) of S (see _annihilator) of degree
+    < p^n, T_j joins U and its exponents are reduced modulo h, as
+    (Z/p^N)[T_j]/(w_n, h) is one ring whichever is reduced by first, and
+    each generator gets the level rows w_n(C_h) (x) I, C_h the companion
+    matrix of h, from n successive p-th powers of I + C_h.  The other
+    variables in U keep exponents < p^n.  `dimension_bound` caps the sum
+    over the summands of k * prod deg, over all d variables for a summand
+    on k generators."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     ctx = M.context
-    p, N, k = ctx.p.p, ctx.N, M.generators
-    ann = _annihilator(M)
-    j, h = ann if ann and len(ann[1]) <= p ** n else (None, None)
-    basis = k * p ** (n * ctx.d) if h is None else k * (len(h) - 1) * p ** (n * ctx.d - n)
+    p, N, d = ctx.p.p, ctx.N, ctx.d
+    plans, basis = [], 0
+    for S in _summands(M):
+        ann = _annihilator(S)
+        j, h = ann if ann and len(ann[1]) <= p ** n else (None, None)
+        used = {v for row in S.relations for x in row for e in x.coefficients for v in range(d) if e[v]}
+        plans.append((S, j, h, sorted(used | ({j} - {None}))))
+        basis += S.generators * (p ** n if h is None else len(h) - 1) * p ** (n * d - n)
     if basis > dimension_bound:
         raise DimensionOverflow(f"basis size {basis} exceeds bound {dimension_bound}")
-    if not M.relations or not basis:
-        return AbelianShape((), basis, N)
-    omega = omega_int_coeffs(p, n) if h is None or ctx.d > 1 else None
-    moduli = {v: h if v == j else omega for v in range(ctx.d)}
-    if h is not None:  # level rows w_n(T_j) e_g; w_n mod h is row 0 of w_n(C_h)
-        m = _int64_modulus(p, N)
-        x = np.eye(len(h) - 1, dtype=object) + _reduction_table(h, m, len(h))[1:]
-        for _ in range(n):
-            x = np.linalg.matrix_power(x, p) % m
-        w = SeriesElement.univariate(ctx, [x[0, 0] - 1, *x[0, 1:]], j)
-        M = ModulePresentation(ctx, k, M.relations + tuple(
-            tuple(w if g == i else SeriesElement.zero(ctx) for g in range(k)) for i in range(k)
-        ))
-    nrows = len(M.relations) * (basis // k)
-    try:
-        return snf(_relation_matrix(M, moduli), ctx.p, N)
-    except MemoryError as exc:
-        raise DimensionOverflow(
-            f"the {nrows} x {basis} relation matrix ({8 * nrows * basis} bytes)"
-            " does not fit in memory"
-        ) from exc
+    omega = omega_int_coeffs(p, n) if any(v != j for _, j, _, U in plans for v in U) else None
+    torsion, free = [], 0
+    for S, j, h, U in plans:
+        k, copies = S.generators, p ** (n * (d - len(U)))
+        moduli = {v: h if v == j else omega for v in U}
+        b = prod(len(x) - 1 for x in moduli.values())
+        if not S.relations or not b:
+            free += k * b * copies
+            continue
+        if h is not None:  # level rows w_n(T_j) e_g; w_n mod h is row 0 of w_n(C_h)
+            m = _int64_modulus(p, N)
+            x = np.eye(len(h) - 1, dtype=object) + _reduction_table(h, m, len(h))[1:]
+            for _ in range(n):
+                x = np.linalg.matrix_power(x, p) % m
+            w = SeriesElement.univariate(ctx, [x[0, 0] - 1, *x[0, 1:]], j)
+            S = ModulePresentation(ctx, k, S.relations + tuple(
+                tuple(w if g == i else SeriesElement.zero(ctx) for g in range(k)) for i in range(k)
+            ))
+        nrows, ncols = len(S.relations) * b, k * b
+        try:
+            shape = snf(_relation_matrix(S, moduli), ctx.p, N)
+        except MemoryError as exc:
+            raise DimensionOverflow(
+                f"the {nrows} x {ncols} relation matrix ({8 * nrows * ncols} bytes)"
+                " does not fit in memory"
+            ) from exc
+        torsion += shape.torsion_exponents * copies
+        free += shape.free_rank_at_precision * copies
+    return AbelianShape(tuple(sorted(torsion)), free, N)
 
 
 def partial_coinvariants(

@@ -312,6 +312,19 @@ class TestMemo:
                 cold = replace(M, group=FiniteGroup(G.table, G.name))
                 assert outcome(op, M, *args) == outcome(op, cold, *args), (G.name, op.__name__, M.relations, args)
 
+    def test_all_subgroups_memoises_only_its_subgroups(self):
+        # the sets it closes on the way leave no entries; each subgroup
+        # found is then its own closure without a further miss
+        for G, _, _ in corpus_groups(3):
+            G = FiniteGroup(G.table, G.name)
+            before = set(G._closures)
+            subs = G.all_subgroups()
+            assert subs == reference_all_subgroups(G), G.name
+            assert set(G._closures) == before | set(subs), G.name
+            for U in subs:
+                assert G.closure(sorted(U)) == U, (G.name, sorted(U))
+            assert set(G._closures) == before | set(subs), G.name
+
 
 class TestModuleValidation:
     def test_group_order_must_be_p_power(self):

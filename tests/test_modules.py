@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from iwatower import (
     torsion_size_resultant_oracle,
     tower,
 )
-from iwatower.modules import _annihilator, _relation_matrix
+from iwatower.modules import _annihilator, _relation_matrix, _summands
 from iwatower.series import omega_int_coeffs
 from iwatower.selftest import _oracle_shape_exponents as oracle_exponents
 
@@ -353,6 +354,137 @@ class TestReducedCoinvariants:
         assert coinvariants(diag, 4).log_torsion == 3 * 5 * 3**4
 
 
+def summed_module(rng, d, k, p, N):
+    """A seeded direct sum of blocks on a shuffled partition of the k
+    generators, with all-zero relations mixed in and the rows shuffled.
+    The module uses at most a seeded set U of 0, 1, 2 or d variables and
+    each block a seeded subset V of U.  A block is free (no relations),
+    constant (upper triangular with diagonal p^mu, as Lambda/(p^mu) on one
+    generator), annihilated (upper triangular with diagonal entries in
+    one variable of V and unit leading coefficients, rows mixed by a
+    unimodular scalar matrix) or mixed (entries p*c plus terms in V)."""
+    ctx = PrecisionContext(Prime(p), N, d, 30)
+    U = rng.sample(range(d), rng.choice([u for u in (0, 1, 2, d) if u <= d]))
+    zero = SeriesElement.zero(ctx)
+
+    def element(V, constant):
+        coeffs = {(0,) * d: constant}
+        for _ in range(rng.randrange(0, 3) if V else 0):
+            exps = tuple(rng.randrange(1, 4) if v in V else 0 for v in range(d))
+            coeffs[exps] = coeffs.get(exps, 0) + rng.randrange(ctx.modulus)
+        return SeriesElement(ctx, coeffs)
+
+    def block_rows(kind, s, V):
+        if kind == "free":
+            return []
+        if kind == "mixed":
+            return [[element(V, p * rng.randrange(ctx.modulus)) for _ in range(s)] for _ in range(rng.randrange(1, s + 2))]
+        j = rng.choice(V) if V else 0
+        rows = []
+        for i in range(s):
+            if kind == "constant":
+                diagonal = SeriesElement.constant(ctx, p ** rng.randrange(1, 3))
+            else:
+                deg = rng.randrange(1, 3) if V else 0
+                coeffs = [rng.randrange(ctx.modulus) for _ in range(deg)] + [rng.randrange(1, p)]
+                diagonal = SeriesElement.univariate(ctx, coeffs, j)
+            above = [element(V if kind != "constant" else [], rng.randrange(ctx.modulus)) for _ in range(s)]
+            rows.append([diagonal if g == i else above[g] if g > i and rng.random() < 0.6 else zero for g in range(s)])
+        for i in range(1, s):  # row_i += c * row_t for t < i: determinant unchanged
+            for t in range(i):
+                c = SeriesElement.constant(ctx, rng.randrange(ctx.modulus))
+                rows[i] = [a + c * b for a, b in zip(rows[i], rows[t])]
+        return rows
+
+    order, relations = rng.sample(range(k), k), []
+    while order:
+        cut = rng.randrange(1, len(order) + 1)
+        gens, order = order[:cut], order[cut:]
+        V = U if rng.random() < 0.6 else [v for v in U if rng.random() < 0.5]
+        for row in block_rows(rng.choice(["free", "constant", "annihilated", "mixed"]), len(gens), V):
+            full = [zero] * k
+            for g, x in zip(gens, row):
+                full[g] = x
+            relations.append(tuple(full))
+    relations += [(zero,) * k] * rng.randrange(0, 2)
+    rng.shuffle(relations)
+    return ModulePresentation(ctx, k, tuple(relations))
+
+
+class TestSummands:
+    def test_matches_monomial_oracle(self):
+        # seeded direct sums: coinvariants taken summand by summand, over
+        # the variables each uses, equal the SNF of the full monomial matrix
+        rng = random.Random(71)
+        seen = dict.fromkeys(
+            ["split", "zero_row", "free", "constant", "reduced", "unreduced", "copies", "uses0", "uses1", "uses2"], 0
+        )
+        for case in range(160):
+            d, k, p = rng.choice([1, 2, 3, 3]), rng.randrange(1, 4), rng.choice([3, 5])
+            n = rng.randrange(0, 4 if d == 1 else 3)
+            while k * p ** (n * d) > 250:
+                n -= 1
+            M = summed_module(rng, d, k, p, rng.randrange(2, 9))
+            ctx = M.context
+            parts = _summands(M)
+            used = {v for row in M.relations for x in row for e in x.coefficients for v in range(d) if e[v]}
+            seen["split"] += len(parts) > 1
+            seen["zero_row"] += any(not any(x.coefficients for x in row) for row in M.relations)
+            seen["copies"] += n > 0 and len(used) < d
+            if d == 3 and len(used) < 3:
+                seen[f"uses{len(used)}"] += 1
+            for S in parts:
+                ann = _annihilator(S)
+                seen["free"] += not S.relations
+                seen["constant"] += bool(S.relations) and all(
+                    not any(e) for row in S.relations for x in row for e in x.coefficients
+                )
+                seen["reduced"] += bool(ann) and 1 < len(ann[1]) <= p**n
+                seen["unreduced"] += bool(S.relations) and not ann
+            want = reference_snf(reference_relation_matrix(M, n), ctx.p, ctx.N)
+            assert coinvariants(M, n) == want, (case, d, k, p, n, M.relations)
+        assert min(seen.values()) >= 8, seen
+
+    def test_bound_sums_the_summands(self, p3):
+        # diag(p, T - p): the summed basis 3^n + 1 is within a bound that
+        # the 2 * 3^n monomial basis of the whole presentation exceeds
+        ctx = PrecisionContext(p3, 8, 1, 30)
+        z = SeriesElement.zero(ctx)
+        M = ModulePresentation(ctx, 2, ((poly(ctx, [3]), z), (z, poly(ctx, [-3, 1]))))
+        want = reference_snf(reference_relation_matrix(M, 3), p3, 8)
+        assert want.torsion_exponents == (1,) * 27 + (4,)
+        assert coinvariants(M, 3, dimension_bound=28) == want
+        assert not tower(M, 3, dimension_bound=28)[3].flags
+        with pytest.raises(DimensionOverflow, match="basis size 28 exceeds bound 27"):
+            coinvariants(M, 3, dimension_bound=27)
+
+    def test_memory_error_names_the_matrix_built(self, monkeypatch, ctx3_d2):
+        # ((p, T1), (0, p)) uses T1 alone: at n = 2 the matrix built is
+        # 2 * 3^2 square, not the 2 * 3^4 of the basis bound
+        p, z = SeriesElement.constant(ctx3_d2, 3), SeriesElement.zero(ctx3_d2)
+        M = ModulePresentation(ctx3_d2, 2, ((p, SeriesElement.variable(ctx3_d2, 0)), (z, p)))
+
+        def refuse(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(iwatower.modules, "_relation_matrix", refuse)
+        with pytest.raises(DimensionOverflow, match=r"the 18 x 18 relation matrix \(2592 bytes\)"):
+            coinvariants(M, 2)
+
+    def test_split_mu_module_needs_no_large_matrix(self):
+        # diag(p) on 3 generators at d = 2 is three summands Lambda_2/(p)
+        # that use no variable: three 1 x 1 SNFs in place of one on
+        # 19,683 columns at n = 4
+        ctx = PrecisionContext(Prime(3), 8, 2, 30)
+        p, z = SeriesElement.constant(ctx, 3), SeriesElement.zero(ctx)
+        M = ModulePresentation(ctx, 3, ((p, z, z), (z, p, z), (z, z, p)))
+        start = time.perf_counter()
+        shape = coinvariants(M, 4)
+        elapsed = time.perf_counter() - start
+        assert (shape.torsion_exponents, shape.free_rank_at_precision) == ((1,) * 19683, 0)
+        assert elapsed < 0.5, elapsed
+
+
 class TestTower:
     def test_linear_relation(self, ctx3):
         M = cyclic_module(ctx3, [-3, 1])  # T - p
@@ -385,14 +517,15 @@ class TestTower:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="needs Linux RLIMIT_AS")
     def test_memory_error_flagged(self, tmp_path):
-        # diag(p) on 3 generators at d = 2 (mu > 0, so no annihilator
-        # shrinks the basis): basis 19,683 at n = 4, within
-        # DEFAULT_DIMENSION_BOUND, but its 3 GB matrix cannot be
-        # allocated under 1 GiB of address space beyond the imports
-        module = tmp_path / "diag.txt"
+        # a connected presentation on 3 generators using both variables,
+        # with mu > 0 (so it neither splits nor has an annihilator):
+        # basis 19,683 at n = 4, within DEFAULT_DIMENSION_BOUND, but its
+        # 3 GB matrix cannot be allocated under 1 GiB of address space
+        # beyond the imports
+        module = tmp_path / "chain.txt"
         module.write_text(
             "p: 3\nN: 8\nd: 2\nD: 30\ngenerators: 3\n"
-            "relation: p; 0; 0\nrelation: 0; p; 0\nrelation: 0; 0; p\n"
+            "relation: p; T1; 0\nrelation: 0; p; T2\nrelation: 0; 0; p\n"
         )
         script = textwrap.dedent(f"""
             import resource, sys
