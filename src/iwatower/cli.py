@@ -75,6 +75,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {args.n_max}")
     report = parse_report(_read(args.report_file))
     ext = parse_descriptor(_read(args.descriptor_file))
     prediction = predict_growth(
@@ -205,8 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (InsufficientData, MissingInvariant) as exc:

@@ -22,7 +22,8 @@ quotient orders are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+
+import numpy as np
 
 from .errors import GroupTooLarge, HypothesisViolated
 from .modules import AbelianShape, snf
@@ -87,7 +88,7 @@ class FiniteGroup:
     def _checked(self, elements: frozenset) -> frozenset:
         if bad := elements - self._all:
             raise ValueError(f"{min(bad)!r} is not a group element 0..{self.order - 1}")
-        return elements
+        return frozenset(map(int, elements))
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -174,52 +175,37 @@ class FiniteGroup:
 # ------------------------------------------------------------------
 
 
+def _group(name: str, radices, mul) -> FiniteGroup:
+    """The group on the tuples 0 <= x_i < radices[i], numbered in
+    lexicographic order, whose product xy has coordinates mul(x, y)
+    taken modulo the radices: x and y are sequences of coordinate arrays
+    that broadcast x along the rows of the table and y along its columns."""
+    coords = np.indices(radices).reshape(len(radices), -1)
+    xy = mul(coords[:, :, None], coords[:, None, :])
+    return FiniteGroup(np.ravel_multi_index(xy, radices, mode="wrap").tolist(), name)
+
+
 def cyclic_group(k: int) -> FiniteGroup:
-    table = [[(a + b) % k for b in range(k)] for a in range(k)]
-    return FiniteGroup(table, name=f"C{k}")
+    return _group(f"C{k}", (k,), lambda a, b: (a[0] + b[0],))
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
-    n, m = G.order, H.order
-    idx = lambda a, b: a * m + b
-    table = [
-        [
-            idx(G.mul(a, a2), H.mul(b, b2))
-            for a2 in range(n)
-            for b2 in range(m)
-        ]
-        for a in range(n)
-        for b in range(m)
-    ]
-    return FiniteGroup(table, name=f"{G.name}x{H.name}")
+    g, h = np.array(G.table), np.array(H.table)
+    rule = lambda a, b: (g[a[0], b[0]], h[a[1], b[1]])
+    return _group(f"{G.name}x{H.name}", (G.order, H.order), rule)
 
 
 def semidirect_c3_c9() -> FiniteGroup:
     """C9 acted on by C3 through multiplication by 4 (an order-3
     automorphism of Z/9); elements (x mod 9, a mod 3)."""
-    def idx(x, a):
-        return x * 3 + a
-
-    table = [[0] * 27 for _ in range(27)]
-    for x, a, x2, a2 in product(range(9), range(3), range(9), range(3)):
-        y = (x + x2 * pow(4, a, 9)) % 9
-        table[idx(x, a)][idx(x2, a2)] = idx(y, (a + a2) % 3)
-    return FiniteGroup(table, name="C9:C3")
+    return _group("C9:C3", (9, 3), lambda a, b: (a[0] + b[0] * 4 ** a[1], a[1] + b[1]))
 
 
 def heisenberg(p: int = 3) -> FiniteGroup:
     """Upper unitriangular 3x3 matrices over Z/p; elements (a, b, c)
     with (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b')."""
-    def idx(a, b, c):
-        return (a * p + b) * p + c
-
-    n = p ** 3
-    table = [[0] * n for _ in range(n)]
-    for a, b, c, a2, b2, c2 in product(range(p), repeat=6):
-        table[idx(a, b, c)][idx(a2, b2, c2)] = idx(
-            (a + a2) % p, (b + b2) % p, (c + c2 + a * b2) % p
-        )
-    return FiniteGroup(table, name=f"Heis{p}")
+    rule = lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
+    return _group(f"Heis{p}", (p, p, p), rule)
 
 
 def corpus_groups(p: int = 3):

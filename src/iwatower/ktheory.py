@@ -206,6 +206,8 @@ def predict_growth(
     maps to, with the family's symbolic O-class label (the underlying
     theorems provide no constants)."""
     p.require_odd()
+    if i < 2:
+        raise ValueError(f"twist i must be >= 2, got {i}")
     family, torsion_type, theorem_tag = _KIND_LAWS[ext.kind]
     spec = _FAMILIES[family]
     slots = {name: inv.slot(name) for name, _ in spec.main}

@@ -397,6 +397,8 @@ def tower(
     """Coinvariant measurements for n = 0..n_max.  Levels are
     independent pure computations; per-level failures are recorded as
     flags and the run continues."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
 
     def level(n: int) -> TowerDatum:
         try:

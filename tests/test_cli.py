@@ -240,6 +240,44 @@ class TestParser:
     def test_built_once(self):
         assert build_parser() is build_parser()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["tower"], ["tower", "m.txt", "--n-max", "abc"], ["frobnicate"]],
+        ids=["no-command", "missing-file", "bad-int", "unknown-command"],
+    )
+    def test_usage_error_exit_1(self, argv, capsys):
+        # exit 2 is for flagged output, so a usage error is an input error
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: iwatower") and "error:" in captured.err
+
+    def test_help_exit_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: iwatower")
+
+
+class TestOutOfRange:
+    def test_tower_negative_n_max_exit_1(self, module_file, capsys):
+        assert main(["tower", module_file, "--n-max", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n_max must be >= 0, got -1" in captured.err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--n-max", "-1"], "n_max must be >= 0, got -1"), (["--i", "1"], "twist i must be >= 2, got 1")],
+        ids=["n-max", "twist"],
+    )
+    def test_predict_exit_1(self, flags, message, tmp_path, capsys):
+        report, desc = tmp_path / "report.txt", tmp_path / "desc.txt"
+        report.write_text("p=3\nd=1\nmethod=fitted\nmu=1\nlam=1\n")
+        desc.write_text(ZP_DESC)
+        assert main(["predict", str(report), str(desc), "--p", "3", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
 class TestSelftest:
     @pytest.mark.parametrize("optimize", [False, True], ids=["python", "python-O"])

@@ -1,7 +1,10 @@
+import hashlib
+import json
 import random
 from dataclasses import replace
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from iwatower import (
@@ -71,7 +74,30 @@ def reference_verdict(table):
     return None if reference_is_associative(table) else "multiplication table is not associative"
 
 
+# SHA-256 of json.dumps(G.table) for each group built by the
+# constructions, keyed by G.name: the element numbering, fixed.
+TABLE_DIGESTS = {
+    "C3": "17d0eee91e6333e1187ad1a09da05518b40b225dd366ee32342d785c61a3eea4",
+    "C9": "6e662b78e98bdaafe6189ad93e1e4b1bb97fd9a79491cf9b4de32d0e2128d048",
+    "C81": "886b0b4cb5554e6f472635509f55047267390304086df14962dbb0bfe81036eb",
+    "C3xC3": "5866c28f92e87f668ad348eb1f1c33ee41934252a4db957f364ac04703ea69a9",
+    "C3xC3xC3": "9424705dbf791d76adb5a8be106c633925a97d0b41e2f3ec69809ab8d874059c",
+    "C9:C3": "93214debab2183606a53c7cb10aa537b8583cd48d6faf2e6bf555839c1f99660",
+    "Heis3": "710ebac32492c1ac3211bfb61410707c94bdf833c851626fe5a99a75af0a44cf",
+    "C9xC9": "20f6eb720b9758951a1577b0f7781de3c0853a012b741aa6a03efd51a965d925",
+    "C3xC3xC3xC3": "241d49ee294dcc17007c24718a69a052397697aa4d3b995dcadc122ff4fe8db5",
+}
+
+
 class TestFiniteGroup:
+    @pytest.mark.parametrize(
+        "G",
+        [*CORPUS.values(), direct_product(cyclic_group(9), cyclic_group(9)), C3_4],
+        ids=lambda G: G.name,
+    )
+    def test_numbering_pinned(self, G):
+        assert hashlib.sha256(json.dumps(G.table).encode()).hexdigest() == TABLE_DIGESTS[G.name]
+
     def test_cyclic(self):
         G = cyclic_group(9)
         assert G.order == 9
@@ -270,9 +296,20 @@ class TestMemo:
         for valid in ([], [{1, 3}, [3, 1], *G.all_subgroups()]):
             for S in valid:
                 assert call(S) == self.REFERENCE[method](G, S), sorted(S)
-            for bad in ({27}, {1, 27}, {-1}):
+            for bad in ({27}, {1, 27}, {-1}, {"a"}):
                 with pytest.raises(ValueError, match="is not a group element 0..26"):
                     call(bad)
+
+    @pytest.mark.parametrize("method", REFERENCE)
+    @pytest.mark.parametrize("element", [3.0, np.int64(3)], ids=["float", "int64"])
+    def test_element_equal_to_an_int_counts_as_that_int(self, method, element):
+        # on a new group and from the memo, in both call orders
+        expected = self.REFERENCE[method](cyclic_group(9), {3})
+        for order in ([{element}, {3}], [{3}, {element}]):
+            G = cyclic_group(9)
+            for S in order:
+                got = getattr(G, method)(S)
+                assert got == expected and all(type(x) is int for x in got), (order, S)
 
     @pytest.mark.parametrize(
         "build_a, build_b, method, S",

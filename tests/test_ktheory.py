@@ -182,6 +182,12 @@ class TestPredictGrowth:
                 rep, ExtensionDescriptor("Zp", 1), Prime(3), 2, range(3)
             )
 
+    @pytest.mark.parametrize("i", [1, 0, -2])
+    def test_twist_below_2_rejected(self, i):
+        rep = InvariantReport(p=3, d=1, method="fitted", mu=2, lam=1)
+        with pytest.raises(ValueError, match=f"twist i must be >= 2, got {i}"):
+            predict_growth(rep, ExtensionDescriptor("Zp", 1), Prime(3), i, range(3))
+
     def test_semidirect_upper_bound_rows(self):
         rep = InvariantReport(
             p=3, d=2, method="fitted", rank_over_h=1, mu_h=2

@@ -510,6 +510,10 @@ class TestTower:
         data = tower(M, 1, guard=2)
         assert all(t.flags == ("PrecisionMargin",) for t in data)
 
+    def test_negative_n_max_rejected(self, ctx3):
+        with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+            tower(cyclic_module(ctx3, [-3, 1]), -1)
+
     def test_overflow_flagged_not_raised(self, ctx3):
         M = cyclic_module(ctx3, [9])
         data = tower(M, 5, dimension_bound=30)
