@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import GroupTooLarge, HypothesisViolated
 from .modules import AbelianShape, snf
-from .padic import Prime
+from .padic import Prime, prime_base
 
 DEFAULT_ORDER_CAP = 243
 
@@ -250,10 +250,7 @@ class FiniteGroupRingModule:
     relations: tuple = ()
 
     def __post_init__(self):
-        order = self.group.order
-        while order % self.p.p == 0:
-            order //= self.p.p
-        if order != 1:
+        if self.group.order != 1 and prime_base(self.group.order) != self.p.p:
             raise ValueError("group order must be a power of p")
         if self.N < 1:
             raise ValueError(f"precision N = {self.N} must be at least 1")

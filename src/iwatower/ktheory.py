@@ -14,11 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import sympy
-
 from .errors import ResidueCharacteristicP
 from .invariants import _FAMILIES, InvariantReport
-from .padic import Prime, h1_local_order, ord_p
+from .padic import Prime, check_twist, h1_local_order, ord_p, prime_base
 
 QL_ASSUMPTION = (
     "assumes: p-part of K_{2i-2}(O_F) identified with "
@@ -47,11 +45,10 @@ class KGroupRecord:
     source: str = ""
 
     def __post_init__(self):
-        if self.i < 2:
-            raise ValueError(f"twist i must be >= 2, got {self.i}")
+        check_twist(self.i)
         decomp = tuple(int(x) for x in self.order_decomposition)
         for x in decomp:
-            if x < 2 or len(sympy.factorint(x)) != 1:
+            if prime_base(x) is None:
                 raise ValueError(f"decomposition entry {x} is not a prime power")
         object.__setattr__(self, "order_decomposition", decomp)
 
@@ -66,7 +63,7 @@ class LocalPrimeDatum:
     ramified: bool = True
 
     def __post_init__(self):
-        if self.q < 2 or len(sympy.factorint(self.q)) != 1:
+        if prime_base(self.q) is None:
             raise ValueError(f"q = {self.q} is not a prime power")
 
 
@@ -206,8 +203,7 @@ def predict_growth(
     maps to, with the family's symbolic O-class label (the underlying
     theorems provide no constants)."""
     p.require_odd()
-    if i < 2:
-        raise ValueError(f"twist i must be >= 2, got {i}")
+    check_twist(i)
     family, torsion_type, theorem_tag = _KIND_LAWS[ext.kind]
     spec = _FAMILIES[family]
     slots = {name: inv.slot(name) for name, _ in spec.main}

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from math import prod
 
 import numpy as np
-import sympy
 
 from .errors import ContextMismatch, DimensionOverflow, NotSquare, PrecisionExhausted
 from .padic import Prime, ord_p
@@ -34,8 +33,8 @@ from .series import PrecisionContext, SeriesElement, char_poly, omega_int_coeffs
 #: default cap on the number of Z/p^N basis elements of a coinvariant.
 DEFAULT_DIMENSION_BOUND = 20000
 
-#: elementary divisors with exponent >= N - guard are flagged as
-#: indistinguishable from free at precision N.
+#: torsion exponents > N - guard are flagged as indistinguishable from
+#: free at precision N (tower needs guard >= 2: exponents are below N).
 DEFAULT_GUARD = 2
 
 # floor(sqrt(2^63 - 1)).  The dense kernels add to or subtract from a
@@ -399,6 +398,8 @@ def tower(
     flags and the run continues."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if guard < 2:
+        raise ValueError(f"guard must be >= 2, got {guard}")
 
     def level(n: int) -> TowerDatum:
         try:
@@ -437,6 +438,7 @@ def torsion_size_resultant_oracle(f: SeriesElement, n: int) -> int:
         raise ValueError("resultant oracle requires d = 1")
     if f.is_zero():
         raise PrecisionExhausted("f is 0 at this precision")
+    import sympy
     p, N = ctx.p.p, ctx.N
     T = sympy.Symbol("T")
     fint = sympy.Poly(list(reversed(f.univariate_coeffs())), T)

@@ -9,9 +9,7 @@ valuations ord_p(q^{i-1} - 1) attached to residue fields away from p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-
-from sympy import isprime
+from math import gcd, isqrt
 
 from .errors import (
     HypothesisViolated,
@@ -27,6 +25,15 @@ from .errors import (
 CHECKED_TOWER_BOUND = 6
 
 
+def prime_base(x: int):
+    """The prime that x is a power of, or None (x < 2 too): the least
+    factor d of x, by trial division, if x divides d^(bit length of x)."""
+    if x < 2:
+        return None
+    d = next((d for d in range(2, isqrt(x) + 1) if x % d == 0), x)
+    return d if d ** x.bit_length() % x == 0 else None
+
+
 @dataclass(frozen=True)
 class Prime:
     """A checked prime.  p = 2 is accepted here; lemma-backed operations
@@ -35,7 +42,7 @@ class Prime:
     p: int
 
     def __post_init__(self):
-        if self.p < 2 or not isprime(self.p):
+        if prime_base(self.p) != self.p:
             raise ValueError(f"not a prime: {self.p}")
 
     @property
@@ -83,10 +90,14 @@ def valuation_tower(b: int, p: Prime, n: int, checked: bool = True) -> int:
     return value
 
 
-def _check_local(q: int, i: int, p: Prime):
+def check_twist(i: int):
     if i < 2:
-        raise HypothesisViolated(f"twist i must be >= 2, got {i}")
-    if q < 2:
+        raise ValueError(f"twist i must be >= 2, got {i}")
+
+
+def _check_local(q: int, i: int, p: Prime):
+    check_twist(i)
+    if prime_base(q) is None:
         raise HypothesisViolated(f"q must be a prime power >= 2, got {q}")
     if gcd(q, p.p) != 1:
         raise ResidueCharacteristicP(f"p = {p.p} divides residue cardinality q = {q}")

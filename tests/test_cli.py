@@ -80,6 +80,28 @@ class TestTower:
         ]
         assert flagged
 
+    @pytest.mark.parametrize(
+        "relation, guard, code, flag",
+        [("27", "2", 2, "PrecisionMargin"), ("9", "2", 0, "-"), ("9", "3", 2, "PrecisionMargin")],
+    )
+    def test_guard_flags_exponents_above_n_minus_guard(self, relation, guard, code, flag, tmp_path):
+        # at N = 4, 27 and 9 give exponents 3 and 2 at every level
+        path = tmp_path / "mod.txt"
+        path.write_text(MODULE_DOC.replace("N: 12", "N: 4").replace("T1 - p", relation))
+        out = tmp_path / "t.tsv"
+        assert main(["tower", str(path), "--n-max", "1", "--guard", guard, "--out", str(out)]) == code
+        assert [l.split("\t")[-1] for l in out.read_text().splitlines()[1:]] == [flag, flag]
+
+    @pytest.mark.parametrize("guard", ["1", "0", "-5"])
+    def test_guard_below_2_exit_1(self, guard, tmp_path, capsys):
+        # below 2 no exponent could be flagged, so relation 27 would pass silently
+        path = tmp_path / "mod.txt"
+        path.write_text(MODULE_DOC.replace("N: 12", "N: 4").replace("T1 - p", "27"))
+        assert main(["tower", str(path), "--n-max", "1", "--guard", guard]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"guard must be >= 2, got {guard}" in captured.err
+
     def test_distinguished_within_bound(self, module_file, tmp_path):
         # T1 - p is its own monic annihilator: one basis element per level
         out = tmp_path / "t.tsv"
@@ -298,3 +320,9 @@ class TestSelftest:
             assert main(["selftest"]) == 0
             out = capsys.readouterr().out
         assert out == SELFTEST_REPORT
+
+    def test_guard_below_2_skips_exact_vs_fitted(self, capsys):
+        assert main(["selftest", "--guard", "1"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert "SKIP exact-vs-fitted-invariants: needs guard >= 2" in lines
+        assert lines[-1] == "summary: 6 passed, 0 failed, 1 skipped"

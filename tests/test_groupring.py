@@ -365,8 +365,14 @@ class TestMemo:
 
 class TestModuleValidation:
     def test_group_order_must_be_p_power(self):
-        with pytest.raises(ValueError):
-            FiniteGroupRingModule(cyclic_group(6), Prime(3), 2)
+        for order, p in ((6, 3), (3, 5), (12, 2)):
+            with pytest.raises(ValueError, match="group order must be a power of p"):
+                FiniteGroupRingModule(cyclic_group(order), Prime(p), 2)
+
+    @pytest.mark.parametrize("order", [1, 3, 9])
+    def test_p_power_order_accepted(self, order):
+        # the trivial group is p^0
+        assert FiniteGroupRingModule(cyclic_group(order), Prime(3), 2).group.order == order
 
     @pytest.mark.parametrize(
         "N, relations, message",

@@ -3,9 +3,13 @@ the package imports is used in that module, every private top-level name
 is read somewhere in the package, the package has no `assert`
 statement, which `python -O` strips, and no `functools.cache` or
 `functools.lru_cache`, whose entries outlive the objects they describe:
-a cache lives on its object."""
+a cache lives on its object.  Importing the package does not load sympy,
+which only the two oracles use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -180,3 +184,16 @@ def test_scan_flags_a_functools_cache():
         "    return self.cache, self.lru_cache, functools.reduce, reduce, cache\n"
     )
     assert functools_caches(source) == [3, 4, 7]
+
+
+@pytest.mark.parametrize("module", ["iwatower", "iwatower.cli"])
+def test_import_leaves_sympy_unloaded(module):
+    # the resultant oracle and the selftest's Smith-form oracle import
+    # sympy when called; nothing else needs it
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

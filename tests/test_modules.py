@@ -514,6 +514,13 @@ class TestTower:
         with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
             tower(cyclic_module(ctx3, [-3, 1]), -1)
 
+    @pytest.mark.parametrize("guard", [1, 0, -5])
+    def test_guard_below_2_rejected(self, ctx3, guard):
+        # every torsion exponent is below N, so its margin is >= 1 and a
+        # guard below 2 could never flag one
+        with pytest.raises(ValueError, match=f"guard must be >= 2, got {guard}"):
+            tower(cyclic_module(ctx3, [27]), 1, guard=guard)
+
     def test_overflow_flagged_not_raised(self, ctx3):
         M = cyclic_module(ctx3, [9])
         data = tower(M, 5, dimension_bound=30)

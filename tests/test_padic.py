@@ -1,4 +1,5 @@
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from iwatower import (
     ord_p,
     valuation_tower,
 )
+from iwatower.padic import prime_base
 
 
 class TestPrime:
@@ -23,13 +25,27 @@ class TestPrime:
             assert Prime(p).p == p
 
     def test_rejects_composites(self):
-        for x in (0, 1, 4, 9, 91):
+        for x in (-3, -1, 0, 1, 4, 9, 91):
             with pytest.raises(ValueError):
                 Prime(x)
+
+    def test_accepts_mersenne_prime_2_31(self):
+        # the largest trial divisor is isqrt(2^31 - 1) = 46,340
+        assert Prime(2**31 - 1).p == 2**31 - 1
 
     def test_two_is_not_odd(self):
         with pytest.raises(OddPrimeRequired):
             Prime(2).require_odd()
+
+
+class TestPrimeBase:
+    def test_matches_sympy(self):
+        # sympy is the oracle: x is a power of p iff factorint(x) == {p: k}
+        for x in [*range(-50, 3001), 2**31 - 1, 3**19, 65537**2, 2**31 * 3]:
+            factors = sympy.factorint(x) if x >= 2 else {}
+            want = next(iter(factors)) if len(factors) == 1 else None
+            assert prime_base(x) == want, x
+            assert (prime_base(x) == x) == sympy.isprime(x), x
 
 
 class TestOrdP:
@@ -102,6 +118,20 @@ class TestH1LocalOrder:
         assert h1_local_order(4, 2, Prime(3)) == 1
         assert h1_local_order(2, 4, Prime(7)) == 1
         assert h1_local_order(5, 2, Prime(3)) == 0
+
+    @pytest.mark.parametrize("q, i, p", [(6, 2, 5), (12, 3, 7)])
+    def test_q_not_a_prime_power_rejected(self, q, i, p):
+        # no finite field has 6 or 12 elements
+        for call in (lambda: h1_local_order(q, i, Prime(p)), lambda: h1_local_order_tower(q, i, Prime(p), 1)):
+            with pytest.raises(HypothesisViolated, match=f"q must be a prime power >= 2, got {q}"):
+                call()
+
+    def test_prime_power_q_accepted(self):
+        assert [h1_local_order(q, 2, Prime(3)) for q in (4, 8, 13)] == [1, 0, 1]
+
+    def test_twist_below_2_rejected(self):
+        with pytest.raises(ValueError, match="twist i must be >= 2, got 1"):
+            h1_local_order(4, 1, Prime(3))
 
     def test_residue_characteristic_rejected(self):
         with pytest.raises(ResidueCharacteristicP):
