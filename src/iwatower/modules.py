@@ -13,10 +13,12 @@ A term c*T^e times every multiplier T^a is then one block: c times the
 Kronecker product of the table slices red_j[e_j : e_j + deg] (no
 Groebner machinery).  The full and the partial coinvariants are both
 built from these blocks.  The Smith normal form eliminates one p-adic
-valuation layer at a time (Cohen, GTM 138, section 2.4) in numpy int64
-arithmetic, which needs p^N <= floor(sqrt(2^63 - 1)).  Each layer pivots
-on the rows with a unit mod p, fewest nonzeros first to limit fill-in,
-and skips the rest, as they gain no unit within the layer (see snf).
+valuation layer at a time (Cohen, GTM 138, section 2.4) on sparse dict
+rows of Python ints.  Each layer pivots on the rows with a unit mod p,
+fewest nonzeros first to limit fill-in, and skips the rest, as they gain
+no unit within the layer (see snf).  The assembly's int64 kernels need
+p^N <= floor(sqrt(2^63 - 1)); snf reads its input as an int64 array and
+checks that cap at entry for every input.
 """
 
 from __future__ import annotations
@@ -144,39 +146,55 @@ def snf(matrix, p: Prime, N: int) -> AbelianShape:
     holds the unpivoted rows divided by p^e, modulo p^(N-e).  A layer
     drops the zero rows, then visits the rows with a unit mod p, fewest
     nonzeros first (ties in row order) to limit fill-in.  A row still
-    holding a unit pivots on its first one; the row, scaled to 1, is
-    cleared from the rows hit in the pivot column and then dropped.  A
+    holding a unit pivots on its first one: a multiple of it is taken
+    from each row hit in the pivot column, and it is dropped.  A
     row without a unit is skipped: an update subtracts the pivot row
     times the row's entry in the pivot column, 0 mod p, so it gains no
     unit.  With no unit left the block is divided by p.  Elementary
-    divisors do not depend on pivot order.  Each product is below
-    (p^N - 1)^2 < 2^63 (see _INT64_MODULUS_CAP).
+    divisors do not depend on pivot order.
+
+    The rows are dict rows of Python ints, built once from the nonzeros,
+    with a column -> rows index that finds the rows hit by a pivot, so a
+    pivot costs the nonzeros it touches rather than a pass over the
+    block (the sparse phase of structured Gaussian elimination, after
+    LaMacchia and Odlyzko).
+    The input is still read as an int64 array, so p^N is checked against
+    _INT64_MODULUS_CAP at entry for every input, whatever its density.
     """
     q = p.p
     A = np.atleast_2d(np.asarray(matrix, dtype=np.int64)) % _int64_modulus(q, N)
     cols = A.shape[1]
+    live = {}
+    index = [set() for _ in range(cols)]
+    for (i, j), v in zip(np.argwhere(A).tolist(), A[A != 0].tolist()):
+        live.setdefault(i, {})[j] = v
+        index[j].add(i)
     exps = []
     for e in range(N):
         m = q ** (N - e)
-        nnz = np.count_nonzero(A, axis=1)
-        A, nnz = A[nnz > 0], nnz[nnz > 0]
-        rows = np.flatnonzero((A % q).any(axis=1))
-        for i in rows[np.argsort(nnz[rows], kind="stable")]:
-            units = np.flatnonzero(A[i] % q)
-            if not units.size:
+        units = [i for i, row in live.items() if any(v % q for v in row.values())]
+        for i in sorted(units, key=lambda i: len(live[i])):
+            row = live[i]
+            j = min((c for c, v in row.items() if v % q), default=None)
+            if j is None:
                 continue
-            j = units[0]
-            pivot_row = A[i] * pow(int(A[i, j]), -1, m) % m
-            A[i] = 0
-            hit = np.flatnonzero(A[:, j])
-            if hit.size:
-                A[hit] = (A[hit] - A[hit, j][:, None] * pivot_row) % m
+            del live[i]
+            inv = pow(row[j], -1, m)
+            # the index keeps rows since pivoted or cleared in column j
+            for r in [r for r in index[j] if j in live.get(r, ())]:
+                target = live[r]
+                f = target[j] * inv % m
+                for c, v in row.items():
+                    x = (target.get(c, 0) - f * v) % m
+                    if x:
+                        target[c] = x
+                        index[c].add(r)
+                    else:
+                        target.pop(c, None)
             exps.append(e)
-        if len(exps) == cols:
-            break
-        A //= q
-    torsion = tuple(e for e in exps if e >= 1)
-    return AbelianShape(torsion, cols - len(exps), N)
+        # the rows cleared to zero leave; the rest are divided by p
+        live = {i: {c: v // q for c, v in row.items()} for i, row in live.items() if row}
+    return AbelianShape(tuple(e for e in exps if e), cols - len(exps), N)
 
 
 # ------------------------------------------------------------------

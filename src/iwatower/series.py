@@ -319,6 +319,8 @@ def weierstrass_prepare(f: SeriesElement, guard: int = 1) -> WeierstrassForm:
     holds exactly (mod T^{D+1}).  Raises PrecisionExhausted when mu is
     too close to N or when no unit coefficient appears within degree D.
     """
+    if guard < 1:
+        raise ValueError(f"guard must be >= 1, got {guard}")
     ctx = f.context
     if ctx.d != 1:
         raise ValueError("weierstrass_prepare requires d = 1")

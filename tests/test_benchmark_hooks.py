@@ -2,6 +2,7 @@
 (`perfbench/spans.py::instrument`); a rename in the library must fail
 here rather than in the benchmark."""
 
+import json
 import os
 import subprocess
 import sys
@@ -36,3 +37,31 @@ def test_instrument_resolves_every_hook():
         env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(PERFBENCH)]), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+D2_ROUND = """
+import json, sys
+from pathlib import Path
+import spans, workloads
+
+tracer = spans.Tracer()
+spans.instrument(tracer)
+attempted, failures = workloads.D2Tower(11, Path(sys.argv[1])).run_round(tracer.tags)
+layers = spans.layer_metrics(tracer.spans, 1)
+print(json.dumps([attempted, failures, {k: v["value"] for k, v in layers.items() if k.startswith("snf.")}]))
+"""
+
+
+def test_traced_round_sees_every_coinvariant_snf(tmp_path):
+    # one d2_tower round at seed 11: both modules split, so each of the
+    # 8 coinvariant SNFs (4 levels, 2 modules) is 1 x 1 or 1 x 2
+    src = str(Path(iwatower.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", D2_ROUND, str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(PERFBENCH)]), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    attempted, failures, snf = json.loads(proc.stdout.splitlines()[-1])
+    assert (attempted, failures) == (4, [])
+    assert (snf["snf.calls"], snf["snf.cells"], snf["snf.pivots"]) == (8, 11, 8)

@@ -239,6 +239,23 @@ class TestInvariants:
         assert "method=exact" in out
         assert "mu=0" in out and "lam=1" in out
 
+    @pytest.mark.parametrize(
+        "guard, message",
+        [
+            ("1", "PrecisionExhausted: content valuation 3 >= N - guard = 3"),
+            ("0", "ValueError: guard must be >= 1, got 0"),
+            ("-3", "ValueError: guard must be >= 1, got -3"),
+        ],
+    )
+    def test_guard_checked_before_preparation(self, guard, message, tmp_path, capsys):
+        # content valuation N - 1: below guard 1 it would reach a precision-1 context
+        path = tmp_path / "mod.txt"
+        path.write_text(MODULE_DOC.replace("N: 12", "N: 4").replace("T1 - p", "27*T1 - 27"))
+        assert main(["invariants", str(path), "--guard", guard]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}\n" == captured.err
+
 
 class TestHeaderOverrides:
     def test_precision_override(self, module_file, tmp_path):

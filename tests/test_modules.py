@@ -36,13 +36,45 @@ SNF_KINDS = (
 )
 
 
+# kinds too large for the sympy oracle, checked against reference_snf
+LARGE_KINDS = ("mu_banded", "band_over_block", "fill_in", "dense_large")
+
+
+def band_over_block(rng, p, N, near=False):
+    """An upper bidiagonal band of 8 unit rows, each followed by a unit
+    multiple of itself, above a 10 x 10 block of p times nonzeros on
+    other columns.  Layer 0 pivots the band and clears the multiples;
+    the cleared rows leave at its end, and the block is eliminated from
+    layer 1 on.  With `near` every entry is within 31 p of p^N and each
+    multiple is the row itself."""
+    m, k = p**N, 8
+    def unit():
+        return m - p * int(rng.integers(1, 30)) - 1 if near else int(rng.integers(1, m // p)) * p + 1
+    band = np.zeros((k, k + 10), dtype=np.int64)
+    for i in range(k):
+        band[i, i:min(i + 2, k)] = [unit() for _ in range(min(2, k - i))]
+    twins = band if near else band * np.array([[unit()] for _ in range(k)]) % m
+    block = np.zeros((10, k + 10), dtype=np.int64)
+    block[:, k:] = p * (m // p - rng.integers(1, 30, (10, 10)) if near else rng.integers(1, m // p, (10, 10)))
+    return np.vstack([np.stack([band, twins], axis=1).reshape(2 * k, -1), block])
+
+
 def snf_inputs(kind, count=8):
     """Seeded (matrix, p, N) inputs of one kind, small enough for the
-    sympy oracle.  `tall_sparse` rows are e_a - e_b, like the group-ring
-    difference rows.  `mixed_sparsity` puts two dense rows among rows
-    with one or two nonzeros, units and multiples of p, so that `snf`
-    pivots in an order other than the row order."""
-    rng = np.random.default_rng(SNF_KINDS.index(kind))
+    sympy oracle except those of LARGE_KINDS.  `tall_sparse` rows are
+    e_a - e_b, like the group-ring difference rows.  `mixed_sparsity`
+    puts two dense rows among rows with one or two nonzeros, units and
+    multiples of p, so that `snf` pivots in an order other than the row
+    order.  `mu_banded` are the n = 3 relation matrices of the mu > 0
+    modules Lambda/(p (T - 3a)) and Lambda/(p^2); `fill_in` rows hold 5
+    units at random, which fill in as they are pivoted."""
+    rng = np.random.default_rng((SNF_KINDS + LARGE_KINDS).index(kind))
+    if kind == "mu_banded":
+        for t in range(count):
+            ctx = PrecisionContext(Prime(3), int(rng.integers(3, 9)), 1, 4)
+            M = cyclic_module(ctx, [9] if t % 2 else [-9 * int(rng.integers(1, 9)), 3])
+            yield reference_relation_matrix(M, 3), ctx.p, ctx.N
+        return
     for _ in range(count):
         p = int(rng.choice([3, 5, 7]))
         N = 1 if kind == "n_equals_1" else int(rng.integers(1, 9))
@@ -70,6 +102,16 @@ def snf_inputs(kind, count=8):
                 at = rng.choice(cols, size=min(cols, int(rng.integers(1, 3))), replace=False)
                 row[at] = rng.integers(1, m, at.size) * p ** rng.integers(0, 2, at.size) % m
             A[rng.choice(len(A), 2, replace=False)] = rng.integers(0, m, (2, cols))
+        elif kind == "dense_large":
+            A = rng.integers(0, m, (rows + 12, cols + 12)) * p ** rng.integers(0, 2, (rows + 12, cols + 12)) % m
+        elif kind == "band_over_block":
+            N = max(N, 2)
+            A = band_over_block(rng, p, N)
+        elif kind == "fill_in":
+            N = max(N, 2)
+            A = np.zeros((30, 30), dtype=np.int64)
+            for row in A:
+                row[rng.choice(30, 5, replace=False)] = rng.integers(1, p ** (N - 1), 5) * p + 1
         yield A, Prime(p), N
 
 
@@ -114,6 +156,21 @@ class TestSnf:
             rows = A if len(A) else np.zeros((1, A.shape[1]), dtype=np.int64)
             assert full_profile(shape, A.shape[1]) == oracle_exponents(rows.tolist(), p.p, N)
 
+    @pytest.mark.parametrize("kind", LARGE_KINDS)
+    def test_large_kinds_match_reference(self, kind):
+        for A, p, N in snf_inputs(kind):
+            assert snf(A, p, N) == reference_snf(A, p, N)
+
+    def test_degenerate_shapes(self):
+        rng = np.random.default_rng(31)
+        tall = rng.integers(0, 3**5, (40, 3)) * 3 ** rng.integers(0, 3, (40, 3))
+        tall[::3] = 0
+        for A in (
+            [], np.zeros((0, 5), dtype=np.int64), np.zeros((4, 0), dtype=np.int64),
+            np.zeros((3, 4), dtype=np.int64), tall, 9 * np.eye(30, 2, dtype=np.int64),
+        ):
+            assert snf(A, Prime(3), 5) == reference_snf(A, Prime(3), 5)
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(23)
         for kind in SNF_KINDS:
@@ -151,6 +208,11 @@ class TestSnf:
         for matrix in (near, UDV):
             shape = snf(matrix, Prime(p), n_max)
             assert full_profile(shape, 4) == oracle_exponents(matrix, p, n_max)
+        # a sparse band over a p-divisible block, every entry near p^N:
+        # updates in two layers on the dict rows
+        banded = band_over_block(np.random.default_rng(p), p, n_max, near=True)
+        shape = snf(banded, Prime(p), n_max)
+        assert full_profile(shape, banded.shape[1]) == oracle_exponents(banded.tolist(), p, n_max)
         with pytest.raises(ValueError, match=rf"3037000499.*N <= {n_max}"):
             snf(near, Prime(p), n_max + 1)
 
