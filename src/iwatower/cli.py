@@ -123,7 +123,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    report, code = run_selftest(seed=args.seed, guard=args.guard)
+    report, code = run_selftest(seed=args.seed)
     _emit(report, args.out)
     return code
 
@@ -191,7 +191,6 @@ def _new_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser("selftest", help="run the seeded oracle battery")
     st.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    st.add_argument("--guard", type=int, default=DEFAULT_GUARD)
     st.add_argument("--out")
     st.set_defaults(func=cmd_selftest)
     return parser

@@ -135,17 +135,13 @@ class VanishingCertificate:
 
 
 def vanishing_propagation(
-    record: KGroupRecord, ext: ExtensionDescriptor, p: Prime, i: int = None
+    record: KGroupRecord, ext: ExtensionDescriptor, p: Prime
 ) -> VanishingCertificate:
     """Certify that the p-part of the even K-group vanishes along the
     whole tower: requires (a) trivial p-part of the stored base order
     and (b) every ramified prime outside p has trivial local H^1 term.
     NotCertified is a value, not an error."""
     p.require_odd()
-    if i is None:
-        i = record.i
-    if i != record.i:
-        raise ValueError(f"record is for twist i = {record.i}, requested {i}")
     conditions = []
     p_part = k_even_order_to_h2(record, p)
     conditions.append(
@@ -158,7 +154,7 @@ def vanishing_propagation(
     for v in ext.ramified_primes:
         if not v.ramified or v.q % p.p == 0:
             continue
-        h1 = h1_local_order(v.q, i, p)
+        h1 = h1_local_order(v.q, record.i, p)
         conditions.append(
             (
                 f"ramified prime {v.label} (q = {v.q}): "
@@ -171,7 +167,7 @@ def vanishing_propagation(
         certified=certified,
         field_label=record.field_label,
         p=p.p,
-        i=i,
+        i=record.i,
         conditions=tuple(conditions),
     )
 

@@ -158,11 +158,17 @@ def snf(matrix, p: Prime, N: int) -> AbelianShape:
     pivot costs the nonzeros it touches rather than a pass over the
     block (the sparse phase of structured Gaussian elimination, after
     LaMacchia and Odlyzko).
-    The input is still read as an int64 array, so p^N is checked against
-    _INT64_MODULUS_CAP at entry for every input, whatever its density.
+    The input is read mod p^N into an int64 array, exactly for entries
+    of any size, so p^N is checked against _INT64_MODULUS_CAP at entry
+    for every input, whatever its density.
     """
     q = p.p
-    A = np.atleast_2d(np.asarray(matrix, dtype=np.int64)) % _int64_modulus(q, N)
+    m = _int64_modulus(q, N)
+    A = np.asarray(matrix)
+    if A.dtype != np.int64:
+        # numpy reads a Python int beyond int64 as object, uint64 or float64
+        A = (np.asarray(matrix, dtype=object) % m).astype(np.int64)
+    A = np.atleast_2d(A) % m
     cols = A.shape[1]
     live = {}
     index = [set() for _ in range(cols)]

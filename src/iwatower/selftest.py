@@ -81,7 +81,7 @@ def _random_split_module(rng, ctx):
     return ModulePresentation(ctx, 1, ((f,),)), mu, lam
 
 
-def _check_valuation(rng, out):
+def _check_valuation(rng):
     failures = 0
     for p in (3, 5, 7):
         prime = Prime(p)
@@ -94,10 +94,10 @@ def _check_valuation(rng, out):
             direct = ord_p(pow(b, p ** n) - 1, prime)
             if closed != direct:
                 failures += 1
-    out.append(("valuation-tower-vs-bigint", failures == 0, f"{failures} mismatches"))
+    return failures == 0, f"{failures} mismatches"
 
 
-def _check_snf_oracle(rng, out):
+def _check_snf_oracle(rng):
     p, N = 3, 6
     prime = Prime(p)
     failures = 0
@@ -111,18 +111,16 @@ def _check_snf_oracle(rng, out):
         theirs = _oracle_shape_exponents(matrix, p, N)
         if mine != theirs:
             failures += 1
-    out.append(("snf-vs-integer-smith-form", failures == 0, f"{failures} mismatches"))
+    return failures == 0, f"{failures} mismatches"
 
 
-def _check_resultant(rng, out):
+def _check_resultant(rng):
     p, N, D = 3, 10, 30
     ctx = PrecisionContext(Prime(p), N, 1, D)
     failures = tried = 0
     for _ in range(8):
         # f = p^a * (monic distinguished-ish) + noise with unit leading
         f = _random_series(rng, ctx)
-        if f.is_zero():
-            continue
         for n in (0, 1, 2):
             M = ModulePresentation(ctx, 1, ((f,),))
             try:
@@ -135,16 +133,10 @@ def _check_resultant(rng, out):
             tried += 1
             if shape.log_torsion != oracle:
                 failures += 1
-    out.append(
-        (
-            "resultant-vs-snf-torsion-size",
-            failures == 0 and tried > 0,
-            f"{failures} mismatches over {tried} comparisons",
-        )
-    )
+    return failures == 0 and tried > 0, f"{failures} mismatches over {tried} comparisons"
 
 
-def _check_weierstrass(rng, out):
+def _check_weierstrass(rng):
     p, N, D = 3, 8, 20
     ctx = PrecisionContext(Prime(p), N, 1, D)
     failures = tried = 0
@@ -172,19 +164,10 @@ def _check_weierstrass(rng, out):
         )
         if not prod == f_red:
             failures += 1
-    out.append(
-        (
-            "weierstrass-roundtrip",
-            failures == 0 and tried > 0,
-            f"{failures} mismatches over {tried} preparations",
-        )
-    )
+    return failures == 0 and tried > 0, f"{failures} mismatches over {tried} preparations"
 
 
-def _check_exact_vs_fitted(rng, out, guard):
-    if guard < 2:
-        out.append(("exact-vs-fitted-invariants", None, "needs guard >= 2"))
-        return
+def _check_exact_vs_fitted(rng):
     p, N, D = 3, 12, 30
     ctx = PrecisionContext(Prime(p), N, 1, D)
     model = GrowthModel("Iwasawa_d1", p, 1)
@@ -193,20 +176,14 @@ def _check_exact_vs_fitted(rng, out, guard):
     for _ in range(modules):
         M, _, _ = _random_split_module(rng, ctx)
         exact = exact_invariants_d1(M)
-        data = tower(M, 4, guard=guard)
+        data = tower(M, 4)
         fitted = fit_growth(data, model)
         if (fitted.mu, fitted.lam) != (exact.mu, exact.lam):
             failures += 1
-    out.append(
-        (
-            "exact-vs-fitted-invariants",
-            failures == 0,
-            f"{failures} mismatches over {modules} modules",
-        )
-    )
+    return failures == 0, f"{failures} mismatches over {modules} modules"
 
 
-def _check_groupring(rng, out):
+def _check_groupring(rng):
     prime = Prime(3)
     failures = checks = 0
     for G, H, Gamma in corpus_groups(3):
@@ -224,16 +201,10 @@ def _check_groupring(rng, out):
             checks += 1
             if not quotient_coinvariant_check(M, H, Gamma).all_equal:
                 failures += 1
-    out.append(
-        (
-            "group-ring-lemma-checks",
-            failures == 0,
-            f"{failures} failures over {checks} checks",
-        )
-    )
+    return failures == 0, f"{failures} failures over {checks} checks"
 
 
-def _check_h1_formula(rng, out):
+def _check_h1_formula(rng):
     failures = 0
     for _ in range(30):
         p = rng.choice((3, 5, 7))
@@ -247,42 +218,38 @@ def _check_h1_formula(rng, out):
             direct += 1
         if h1_local_order(q, i, prime) != direct:
             failures += 1
-    out.append(("h1-local-order-formula", failures == 0, f"{failures} mismatches"))
+    return failures == 0, f"{failures} mismatches"
 
 
-def run_selftest(seed: int = DEFAULT_SEED, guard: int = 2) -> tuple:
-    """Run the battery; returns (report_text, exit_code).
+#: the battery in report order; the checks share one generator.
+_CHECKS = (
+    ("valuation-tower-vs-bigint", _check_valuation),
+    ("snf-vs-integer-smith-form", _check_snf_oracle),
+    ("resultant-vs-snf-torsion-size", _check_resultant),
+    ("weierstrass-roundtrip", _check_weierstrass),
+    ("exact-vs-fitted-invariants", _check_exact_vs_fitted),
+    ("group-ring-lemma-checks", _check_groupring),
+    ("h1-local-order-formula", _check_h1_formula),
+)
 
-    Exit code 0 when every property passes, 2 when any property was
-    skipped (reported but not certifiable under this configuration),
-    1 on failures.
-    """
+
+def run_selftest(seed: int = DEFAULT_SEED) -> tuple:
+    """Run the battery; returns (report_text, exit_code), the code 1 when
+    any check fails and 0 otherwise.  A check that raises fails with a
+    line naming the exception, and the remaining checks still run."""
     rng = random.Random(seed)
-    results = []
-    _check_valuation(rng, results)
-    _check_snf_oracle(rng, results)
-    _check_resultant(rng, results)
-    _check_weierstrass(rng, results)
-    _check_exact_vs_fitted(rng, results, guard)
-    _check_groupring(rng, results)
-    _check_h1_formula(rng, results)
-    lines = [f"selftest seed={seed} guard={guard}"]
-    passed = failed = skipped = 0
-    for name, ok, detail in results:
-        if ok is None:
-            status = "SKIP"
-            skipped += 1
-        elif ok:
-            status = "PASS"
-            passed += 1
-        else:
-            status = "FAIL"
-            failed += 1
-        lines.append(f"{status} {name}: {detail}")
-    lines.append(f"summary: {passed} passed, {failed} failed, {skipped} skipped")
+    # fixed text: the checks run at modules.DEFAULT_GUARD and skip none
+    lines = [f"selftest seed={seed} guard=2"]
+    for name, check in _CHECKS:
+        try:
+            ok, detail = check(rng)
+        except Exception as exc:
+            ok = False
+            detail = f"{type(exc).__name__}: {exc}"
+        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    failed = sum(line.startswith("FAIL") for line in lines)
+    lines.append(f"summary: {len(_CHECKS) - failed} passed, {failed} failed, 0 skipped")
     report = "\n".join(lines) + "\n"
     if failed:
         return report, 1
-    if skipped:
-        return report, 2
     return report, 0

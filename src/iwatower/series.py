@@ -255,20 +255,21 @@ class WeierstrassForm:
 
 
 def _unit_inverse(u: SeriesElement) -> SeriesElement:
-    """Inverse of a unit power series mod (p^N, T^{D+1}) by Newton
-    iteration; d = 1 only."""
+    """Inverse of a unit power series mod (p^N, T^{D+1}); d = 1 only.
+    Its coefficients follow from u * x = 1 one degree at a time:
+    x_0 = 1/c_0 and x_k = -(c_1 x_{k-1} + ... + c_k x_0) / c_0."""
     ctx = u.context
-    c0 = u.coefficient((0,))
-    if c0 % ctx.p.p == 0:
+    m = ctx.modulus
+    c = u.univariate_coeffs()
+    if c[0] % ctx.p.p == 0:
         raise PrecisionExhausted("constant term is not a unit")
-    inv0 = pow(c0, -1, ctx.modulus)
-    x = SeriesElement.constant(ctx, inv0)
-    two = SeriesElement.constant(ctx, 2)
-    # doubles correct T-adic order each step
-    steps = max(1, ctx.D.bit_length() + 1)
-    for _ in range(steps):
-        x = x * (two - u * x)
-    return x
+    inv0 = pow(c[0], -1, m)
+    deg = len(c) - 1
+    x = [inv0]
+    for k in range(1, ctx.D + 1):
+        s = sum(c[j] * x[k - j] for j in range(1, min(k, deg) + 1))
+        x.append(-inv0 * s % m)
+    return SeriesElement.univariate(ctx, x)
 
 
 def _divmod_monic(f: SeriesElement, g: SeriesElement) -> tuple:

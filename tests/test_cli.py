@@ -281,8 +281,14 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "argv",
-        [[], ["tower"], ["tower", "m.txt", "--n-max", "abc"], ["frobnicate"]],
-        ids=["no-command", "missing-file", "bad-int", "unknown-command"],
+        [
+            [],
+            ["tower"],
+            ["tower", "m.txt", "--n-max", "abc"],
+            ["frobnicate"],
+            ["selftest", "--guard", "2"],
+        ],
+        ids=["no-command", "missing-file", "bad-int", "unknown-command", "selftest-guard"],
     )
     def test_usage_error_exit_1(self, argv, capsys):
         # exit 2 is for flagged output, so a usage error is an input error
@@ -338,8 +344,16 @@ class TestSelftest:
             out = capsys.readouterr().out
         assert out == SELFTEST_REPORT
 
-    def test_guard_below_2_skips_exact_vs_fitted(self, capsys):
-        assert main(["selftest", "--guard", "1"]) == 2
+    def test_check_that_raises_is_a_fail_line(self, monkeypatch, capsys):
+        # the checks after it still run and report
+        def raising(M, U):
+            raise ValueError("injected")
+
+        monkeypatch.setattr("iwatower.selftest.augmentation_quotients", raising)
+        assert main(["selftest"]) == 1
         lines = capsys.readouterr().out.splitlines()
-        assert "SKIP exact-vs-fitted-invariants: needs guard >= 2" in lines
-        assert lines[-1] == "summary: 6 passed, 0 failed, 1 skipped"
+        assert lines == SELFTEST_REPORT.splitlines()[:6] + [
+            "FAIL group-ring-lemma-checks: ValueError: injected",
+            "PASS h1-local-order-formula: 0 mismatches",
+            "summary: 6 passed, 1 failed, 0 skipped",
+        ]

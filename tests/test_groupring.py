@@ -432,6 +432,13 @@ class TestShapeOf:
                     compared += 1
         assert compared == 600
 
+    def test_coefficients_beyond_int64(self):
+        # a coefficient is read mod p^N, whatever its size
+        G = cyclic_group(9)
+        big = FiniteGroupRingModule(G, Prime(3), 4, 1, (({0: 2**70, 1: -1},),))
+        small = FiniteGroupRingModule(G, Prime(3), 4, 1, (({0: 2**70 % 3**4, 1: -1},),))
+        assert big.shape_of() == small.shape_of()
+
 
 class TestAugmentationQuotients:
     def test_normal_subgroup_equality(self):

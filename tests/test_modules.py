@@ -171,6 +171,16 @@ class TestSnf:
         ):
             assert snf(A, Prime(3), 5) == reference_snf(A, Prime(3), 5)
 
+    @pytest.mark.parametrize(
+        "x", [2**70, -(2**70), 2**63, 2 * 3**60 + 9], ids=["2^70", "-2^70", "2^63", "2*3^60+9"]
+    )
+    def test_entries_beyond_int64(self, x):
+        # Python ints that numpy would read as object, uint64 or float64
+        # give the shape of their residue mod p^N
+        p = Prime(3)
+        assert snf([[x, 1]], p, 4) == snf([[x % 3**4, 1]], p, 4)
+        assert snf([[x, 3], [0, 9]], p, 4) == snf([[x % 3**4, 3], [0, 9]], p, 4)
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(23)
         for kind in SNF_KINDS:

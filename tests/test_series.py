@@ -189,6 +189,24 @@ class TestWeierstrassPrepare:
             assert prod == f_red
 
 
+class TestUnitInverse:
+    def test_seeded_units(self):
+        # the inverse mod (p^N, T^(D+1)) is unique, so u * x = 1 pins it
+        rng = random.Random(5)
+        for _ in range(300):
+            p = rng.choice((3, 5, 7))
+            ctx = PrecisionContext(Prime(p), rng.randrange(2, 13), 1, rng.randrange(1, 31))
+            c0 = rng.randrange(1, p) + p * rng.randrange(0, ctx.modulus // p)
+            rest = [rng.randrange(0, ctx.modulus) for _ in range(rng.randrange(0, ctx.D + 1))]
+            u = poly(ctx, [c0] + rest)
+            assert u * iwatower.series._unit_inverse(u) == SeriesElement.constant(ctx, 1)
+
+    @pytest.mark.parametrize("coeffs", [[3, 1], [0, 1], [0]])
+    def test_non_unit_constant_term(self, ctx3, coeffs):
+        with pytest.raises(PrecisionExhausted, match="constant term is not a unit"):
+            iwatower.series._unit_inverse(poly(ctx3, coeffs))
+
+
 class TestWeierstrassDivide:
     def test_self_division(self, ctx3):
         g = poly(ctx3, [3, 3, 1])
