@@ -212,13 +212,20 @@ def format_tower_tsv(data) -> str:
 
 
 def parse_tower_tsv(text: str):
-    """Tower rows; the flags cell is `-` or comma-separated flag names."""
-    out = []
+    """Tower rows, each at a distinct level n >= 0; the flags cell is `-`
+    or comma-separated flag names."""
+    out, levels = [], set()
     for n, lt, zr, lm, flags in _read_tsv(text, TOWER_COLUMNS, "tower"):
         names = () if flags == "-" else tuple(flags.split(","))
         if "" in names:
             raise ValueError(f"empty flag name in tower row n = {n}: {flags!r}")
-        out.append(TowerDatum(int(n), int(lt), int(zr), int(lm), names))
+        level = int(n)
+        if level < 0:
+            raise ValueError(f"negative level in tower row n = {n}")
+        if level in levels:
+            raise ValueError(f"repeated level in tower row n = {n}")
+        levels.add(level)
+        out.append(TowerDatum(level, int(lt), int(zr), int(lm), names))
     return out
 
 

@@ -150,24 +150,21 @@ class GrowthModel:
 
 @dataclass(frozen=True)
 class _FamilySpec:
-    # (slot name, basis function of n) pairs; slots named "c" are
-    # nuisance O-term representatives and are excluded from main terms
-    unknowns: tuple
+    """One growth law.  A basis term (a, s, t) is n^a * p^((s*d + t)*n);
+    the O-term representative `c` is fitted alongside the main-term
+    slots, and residuals are normalized by the `c` term with n^a read
+    as max(1, n)^a (the O-class envelope)."""
+
+    main: tuple  # (slot name, basis term) pairs
+    c: tuple
     o_class: str
-    # normalizer h(n) for residuals (the O-class envelope)
-    h: callable
-    datum_value: callable  # which tower measurement the law concerns
+    datum: str  # the TowerDatum field the law concerns
     min_d: int = None
     exact_d: int = None
 
-    @property
-    def main(self) -> tuple:
-        """The (slot name, basis function) pairs of the main term."""
-        return tuple((name, g) for name, g in self.unknowns if name != "c")
-
     def main_term(self, slots, p: int, d: int, n: int):
-        """Sum of each main-term slot value times its basis function at n."""
-        return sum(slots[name] * g(p, d, n) for name, g in self.main)
+        """Sum of each main-term slot value times its basis term at n."""
+        return sum(slots[name] * _term(term, p, d, n) for name, term in self.main)
 
     def check_d(self, d: int, label: str):
         """Raise ValueError naming `label` when d breaks the family's rule."""
@@ -177,65 +174,40 @@ class _FamilySpec:
             raise ValueError(f"{label} requires d = {self.exact_d}")
 
 
-def _pw(p, e):
-    return p ** e if e >= 0 else Fraction(1, p ** -e)
+def _term(term, p: int, d: int, n: int, least: int = 0) -> int:
+    """max(least, n)^a * p^((s*d + t)*n) for the basis term (a, s, t) at
+    a level n >= 0; every family's d rule keeps s*d + t >= 0."""
+    a, s, t = term
+    return max(least, n) ** a * p ** ((s * d + t) * n)
 
 
 #: the growth-law families, the one statement of each law's main-term
-#: basis, O-class and d rule; `ktheory.predict_growth` reads them too
+#: basis, O-term, datum and d rule; `ktheory.predict_growth` reads them too
 _FAMILIES = {
     "Iwasawa_d1": _FamilySpec(
-        unknowns=(
-            ("mu", lambda p, d, n: _pw(p, n)),
-            ("lam", lambda p, d, n: n),
-            ("c", lambda p, d, n: 1),
-        ),
-        o_class="O(1)",
-        h=lambda p, d, n: 1,
-        datum_value=lambda t: t.log_torsion,
-        exact_d=1,
+        main=(("mu", (0, 0, 1)), ("lam", (1, 0, 0))),
+        c=(0, 0, 0), o_class="O(1)",
+        datum="log_torsion", exact_d=1,
     ),
     "CuocoMonsky": _FamilySpec(
-        unknowns=(
-            ("mu", lambda p, d, n: _pw(p, d * n)),
-            ("l0", lambda p, d, n: n * _pw(p, (d - 1) * n)),
-            ("c", lambda p, d, n: _pw(p, (d - 1) * n)),
-        ),
-        o_class="O(p^((d-1)n))",
-        h=lambda p, d, n: _pw(p, (d - 1) * n),
-        datum_value=lambda t: t.log_torsion,
-        min_d=2,
+        main=(("mu", (0, 1, 0)), ("l0", (1, 1, -1))),
+        c=(0, 1, -1), o_class="O(p^((d-1)n))",
+        datum="log_torsion", min_d=2,
     ),
     "LiangLim": _FamilySpec(
-        unknowns=(
-            ("mu", lambda p, d, n: _pw(p, d * n)),
-            ("c", lambda p, d, n: n * _pw(p, (d - 1) * n)),
-        ),
-        o_class="O(n*p^((d-1)n))",
-        h=lambda p, d, n: max(1, n) * _pw(p, (d - 1) * n),
-        datum_value=lambda t: t.log_torsion,
-        min_d=1,
+        main=(("mu", (0, 1, 0)),),
+        c=(1, 1, -1), o_class="O(n*p^((d-1)n))",
+        datum="log_torsion", min_d=1,
     ),
     "Perbet_modpn": _FamilySpec(
-        unknowns=(
-            ("rank", lambda p, d, n: n * _pw(p, d * n)),
-            ("mu", lambda p, d, n: _pw(p, d * n)),
-            ("c", lambda p, d, n: n * _pw(p, (d - 1) * n)),
-        ),
-        o_class="O(n*p^((d-1)n))",
-        h=lambda p, d, n: max(1, n) * _pw(p, (d - 1) * n),
-        datum_value=lambda t: t.log_mod_pn,
-        min_d=1,
+        main=(("rank", (1, 1, 0)), ("mu", (0, 1, 0))),
+        c=(1, 1, -1), o_class="O(n*p^((d-1)n))",
+        datum="log_mod_pn", min_d=1,
     ),
     "Semidirect_rank": _FamilySpec(
-        unknowns=(
-            ("rank_over_h", lambda p, d, n: n * _pw(p, (d - 1) * n)),
-            ("c", lambda p, d, n: _pw(p, (d - 1) * n)),
-        ),
-        o_class="O(p^((d-1)n))",
-        h=lambda p, d, n: _pw(p, (d - 1) * n),
-        datum_value=lambda t: t.log_torsion,
-        min_d=2,
+        main=(("rank_over_h", (1, 1, -1)),),
+        c=(0, 1, -1), o_class="O(p^((d-1)n))",
+        datum="log_torsion", min_d=2,
     ),
 }
 
@@ -286,20 +258,25 @@ def fit_growth(data, model: GrowthModel, n0: int = 1) -> InvariantReport:
 
     Residuals r_n = data - main terms are reported on all points; the
     verdict is "window-consistent" iff the residuals normalized by the
-    O-class envelope do not grow at the end of the window.
+    O-class envelope do not grow at the end of the window: the unflagged
+    points with n >= n0, which the rank-hypothesis checks read too.  A
+    level below 0 is a ValueError.
     """
     spec = _FAMILIES[model.family]
     p, d = model.p, model.d
     data = sorted(data, key=lambda t: t.n)
+    if data and data[0].n < 0:
+        raise ValueError(f"tower levels must be >= 0, got n = {data[0].n}")
     solvable = [t for t in data if not t.flagged and t.n >= n0]
-    u = len(spec.unknowns)
+    terms = spec.main + (("c", spec.c),)
+    u = len(terms)
     if len(solvable) < max(3, u):
         raise InsufficientData(
             f"need at least {max(3, u)} unflagged points with n >= {n0}, "
             f"got {len(solvable)}"
         )
     if model.family == "CuocoMonsky":
-        ok, bound = cuoco_monsky_hypothesis_check(data, model)
+        ok, bound = cuoco_monsky_hypothesis_check(solvable, model)
         if not ok:
             raise HypothesisViolated(
                 f"rank growth hypothesis fails: zp_rank / p^((d-2)n) "
@@ -310,37 +287,29 @@ def fit_growth(data, model: GrowthModel, n0: int = 1) -> InvariantReport:
             "finite coinvariants hypothesis fails: nonzero zp_rank on window"
         )
     top = solvable[-u:]
-    rows = [[g(p, d, t.n) for _, g in spec.unknowns] for t in top]
-    rhs = [spec.datum_value(t) for t in top]
+    rows = [[_term(term, p, d, t.n) for _, term in terms] for t in top]
+    rhs = [getattr(t, spec.datum) for t in top]
     solution = _solve_fraction_system(rows, rhs)
     if solution is None:
         raise InsufficientData("solving system is singular on these points")
-    coeffs = dict(zip((name for name, _ in spec.unknowns), solution))
     slots = {}
-    for name, _ in spec.main:
-        value = coeffs[name]
-        if value.denominator != 1 or (
-            name in _INTEGRAL_SLOTS and value < 0
-        ):
+    for (name, _), value in zip(spec.main, solution):
+        if value.denominator != 1 or (name in _INTEGRAL_SLOTS and value < 0):
             raise NonIntegralCoefficient(
                 f"main-term coefficient {name} = {value} is not a "
                 f"{'non-negative ' if name in _INTEGRAL_SLOTS else ''}integer"
             )
         slots[name] = int(value)
     residuals = tuple(
-        spec.datum_value(t) - spec.main_term(slots, p, d, t.n) for t in data
+        getattr(t, spec.datum) - spec.main_term(slots, p, d, t.n) for t in data
     )
-    window = [
-        (t, r)
+    sizes = [
+        abs(Fraction(r, _term(spec.c, p, d, t.n, least=1)))
         for t, r in zip(data, residuals)
         if not t.flagged and t.n >= n0
     ]
-    normalized = [Fraction(r) / Fraction(spec.h(p, d, t.n)) for t, r in window]
-    bound = max((abs(x) for x in normalized), default=Fraction(0))
-    if len(normalized) >= 2:
-        consistent = abs(normalized[-1]) <= max(abs(x) for x in normalized[:-1])
-    else:
-        consistent = True
+    bound = max(sizes, default=Fraction(0))
+    consistent = len(sizes) < 2 or sizes[-1] <= max(sizes[:-1])
     return InvariantReport(
         p=p,
         d=d,

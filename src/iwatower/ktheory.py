@@ -197,9 +197,16 @@ def predict_growth(
 ) -> TowerPrediction:
     """Per-level main terms of the fit family that the extension kind
     maps to, with the family's symbolic O-class label (the underlying
-    theorems provide no constants)."""
+    theorems provide no constants).  The report's p and d must be those
+    of the prediction, and every level at least 0."""
     p.require_odd()
     check_twist(i)
+    if inv.p != p.p or inv.d != ext.d:
+        raise ValueError(
+            f"report has p = {inv.p}, d = {inv.d}; prediction has p = {p.p}, d = {ext.d}"
+        )
+    if any(n < 0 for n in n_range):
+        raise ValueError(f"levels must be >= 0, got n = {min(n_range)}")
     family, torsion_type, theorem_tag = _KIND_LAWS[ext.kind]
     spec = _FAMILIES[family]
     slots = {name: inv.slot(name) for name, _ in spec.main}

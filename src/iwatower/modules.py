@@ -424,6 +424,8 @@ def tower(
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if guard < 2:
         raise ValueError(f"guard must be >= 2, got {guard}")
+    if dimension_bound < 0:
+        raise ValueError(f"dimension_bound must be >= 0, got {dimension_bound}")
 
     def level(n: int) -> TowerDatum:
         try:

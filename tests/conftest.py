@@ -1,9 +1,21 @@
+from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 
-from iwatower import AbelianShape, ModulePresentation, Prime, PrecisionContext, SeriesElement, snf
+from iwatower import (
+    AbelianShape,
+    HypothesisViolated,
+    InsufficientData,
+    InvariantReport,
+    ModulePresentation,
+    NonIntegralCoefficient,
+    Prime,
+    PrecisionContext,
+    SeriesElement,
+    snf,
+)
 from iwatower.ktheory import QL_ASSUMPTION, PredictionRow, TowerPrediction
 
 
@@ -321,3 +333,102 @@ def reference_predict_growth(inv, ext, p, i, n_range):
     for hyp in ext.asserted_hypotheses:
         assumptions.append(f"asserted (unchecked): {hyp}")
     return TowerPrediction(tuple(rows), tuple(assumptions))
+
+
+def _det(matrix):
+    """Determinant of a square matrix by cofactor expansion along the
+    first row."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    return sum(
+        (-1) ** j * a * _det([row[:j] + row[j + 1:] for row in matrix[1:]])
+        for j, a in enumerate(matrix[0])
+    )
+
+
+def reference_fit_growth(data, model, n0=1):
+    """Test oracle for `invariants.fit_growth`: one hand-written branch
+    per family, each with its own basis functions of n (slot "c" the
+    O-term representative), non-negative slots, datum and residual
+    envelope h(n).  The top points of the window (unflagged, n >= n0,
+    also the points both rank checks read) are solved by Cramer's rule
+    over exact rationals."""
+    p, d = model.p, model.d
+    data = sorted(data, key=lambda t: t.n)
+    window = [t for t in data if not t.flagged and t.n >= n0]
+    if model.family == "Iwasawa_d1":
+        names, nonneg = ("mu", "lam", "c"), {"mu", "lam"}
+        basis = lambda n: (p ** n, n, 1)
+        datum = lambda t: t.log_torsion
+        h = lambda n: 1
+    elif model.family == "CuocoMonsky":
+        names, nonneg = ("mu", "l0", "c"), {"mu"}
+        basis = lambda n: (p ** (d * n), n * p ** ((d - 1) * n), p ** ((d - 1) * n))
+        datum = lambda t: t.log_torsion
+        h = lambda n: p ** ((d - 1) * n)
+    elif model.family == "LiangLim":
+        names, nonneg = ("mu", "c"), {"mu"}
+        basis = lambda n: (p ** (d * n), n * p ** ((d - 1) * n))
+        datum = lambda t: t.log_torsion
+        h = lambda n: max(1, n) * p ** ((d - 1) * n)
+    elif model.family == "Perbet_modpn":
+        names, nonneg = ("rank", "mu", "c"), {"rank", "mu"}
+        basis = lambda n: (n * p ** (d * n), p ** (d * n), n * p ** ((d - 1) * n))
+        datum = lambda t: t.log_mod_pn
+        h = lambda n: max(1, n) * p ** ((d - 1) * n)
+    elif model.family == "Semidirect_rank":
+        names, nonneg = ("rank_over_h", "c"), {"rank_over_h"}
+        basis = lambda n: (n * p ** ((d - 1) * n), p ** ((d - 1) * n))
+        datum = lambda t: t.log_torsion
+        h = lambda n: p ** ((d - 1) * n)
+    need = max(3, len(names))
+    if len(window) < need:
+        raise InsufficientData(
+            f"need at least {need} unflagged points with n >= {n0}, got {len(window)}"
+        )
+    if model.family == "CuocoMonsky":
+        ratios = [Fraction(t.zp_rank, p ** ((d - 2) * t.n)) for t in window]
+        if ratios[-1] > max(ratios[:-1]):
+            raise HypothesisViolated(
+                "rank growth hypothesis fails: zp_rank / p^((d-2)n) "
+                f"unbounded on window (observed up to {max(ratios)})"
+            )
+    if model.family == "Semidirect_rank" and any(t.zp_rank for t in window):
+        raise HypothesisViolated(
+            "finite coinvariants hypothesis fails: nonzero zp_rank on window"
+        )
+    top = window[-len(names):]
+    matrix = [basis(t.n) for t in top]
+    det = _det(matrix)
+    if det == 0:
+        raise InsufficientData("solving system is singular on these points")
+    slots = {}
+    for j, name in enumerate(names[:-1]):
+        replaced = [row[:j] + (datum(t),) + row[j + 1:] for row, t in zip(matrix, top)]
+        value = Fraction(_det(replaced), det)
+        if value.denominator != 1 or (name in nonneg and value < 0):
+            raise NonIntegralCoefficient(
+                f"main-term coefficient {name} = {value} is not a "
+                f"{'non-negative ' if name in nonneg else ''}integer"
+            )
+        slots[name] = int(value)
+    residuals = tuple(
+        datum(t) - sum(slots[name] * b for name, b in zip(names[:-1], basis(t.n)))
+        for t in data
+    )
+    normalized = [
+        abs(Fraction(r, h(t.n)))
+        for t, r in zip(data, residuals)
+        if not t.flagged and t.n >= n0
+    ]
+    consistent = normalized[-1] <= max(normalized[:-1])
+    return InvariantReport(
+        p=p,
+        d=d,
+        method="fitted",
+        model=model.family,
+        residuals=residuals,
+        window_bound=max(normalized),
+        verdict="window-consistent" if consistent else "window-inconsistent",
+        **slots,
+    )

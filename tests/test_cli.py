@@ -102,6 +102,20 @@ class TestTower:
         assert captured.out == ""
         assert f"guard must be >= 2, got {guard}" in captured.err
 
+    def test_dim_bound_below_0_exit_1(self, module_file, capsys):
+        # below 0 every level would be flagged DimensionOverflow
+        assert main(["tower", module_file, "--dim-bound", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dimension_bound must be >= 0, got -1" in captured.err
+
+    def test_dim_bound_0_unit_determinant(self, tmp_path, capsys):
+        # Lambda/(2) is 0: its monic annihilator is 1, so every level has basis 0
+        path = tmp_path / "mod.txt"
+        path.write_text(MODULE_DOC.replace("T1 - p", "2"))
+        assert main(["tower", str(path), "--n-max", "2", "--dim-bound", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [f"{n}\t0\t0\t0\t-" for n in range(3)]
+
     def test_distinguished_within_bound(self, module_file, tmp_path):
         # T1 - p is its own monic annihilator: one basis element per level
         out = tmp_path / "t.tsv"
@@ -203,6 +217,54 @@ class TestFitPredictPipeline:
         assert main(["predict", str(report), str(desc), "--p", p]) == 1
         assert fit_err == capsys.readouterr().err == f"error: ValueError: not a prime: {p}\n"
         assert not fit_out.exists()
+
+    @pytest.mark.parametrize(
+        "descriptor, p, message",
+        [
+            (ZP_DESC, "5", "report has p = 3, d = 1; prediction has p = 5, d = 1"),
+            ("kind: Uniform\nd: 3\n", "3", "report has p = 3, d = 1; prediction has p = 3, d = 3"),
+        ],
+        ids=["p", "d"],
+    )
+    def test_predict_report_mismatch_exit_1(self, descriptor, p, message, tmp_path, capsys):
+        report, desc = tmp_path / "report.txt", tmp_path / "desc.txt"
+        report.write_text("p=3\nd=1\nmethod=fitted\nmu=2\nlam=1\n")
+        desc.write_text(descriptor)
+        assert main(["predict", str(report), str(desc), "--p", p]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ValueError: {message}\n"
+
+    @pytest.mark.parametrize(
+        "levels, message",
+        [((-1, 1, 2, 3), "negative level in tower row n = -1"), ((1, 2, 2), "repeated level in tower row n = 2")],
+        ids=["negative", "repeated"],
+    )
+    def test_fit_bad_level_exit_1(self, levels, message, tmp_path, capsys):
+        tower_out, fit_out = tmp_path / "tower.tsv", tmp_path / "fit.txt"
+        tower_out.write_text(
+            "n\tlog_torsion\tzp_rank\tlog_mod_pn\tflags\n"
+            + "".join(f"{n}\t{3**n}\t0\t{n}\t-\n" for n in levels)
+        )
+        args = ["fit", str(tower_out), "--model", "Iwasawa_d1", "--p", "3", "--n0", "0"]
+        assert main([*args, "--out", str(fit_out)]) == 1
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not fit_out.exists()
+
+    @pytest.mark.parametrize("first, n0, code", [(0, "1", 3), (1, "1", 3), (0, "0", 0)])
+    def test_cuoco_monsky_rank_check_reads_n0_window(self, first, n0, code, tmp_path, capsys):
+        # zp_rank 1, 2, 3 grows on n = 1..3; only a window that starts at
+        # n = 0, where zp_rank is 5, hides it
+        rows = [(0, 0, 5), (1, 3, 1), (2, 18, 2), (3, 81, 3)][first:]
+        path = tmp_path / "tower.tsv"
+        path.write_text(
+            "n\tlog_torsion\tzp_rank\tlog_mod_pn\tflags\n"
+            + "".join(f"{n}\t{lt}\t{r}\t0\t-\n" for n, lt, r in rows)
+        )
+        args = ["fit", str(path), "--model", "CuocoMonsky", "--p", "3", "--d", "2", "--n0", n0]
+        assert main(args) == code
+        if code == 3:
+            assert "rank growth hypothesis fails" in capsys.readouterr().err
 
     def test_misfit_exit_3(self, tmp_path, capsys):
         rows = ["n\tlog_torsion\tzp_rank\tlog_mod_pn\tflags"]

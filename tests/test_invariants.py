@@ -18,8 +18,11 @@ from iwatower import (
     mu_positivity_equiv,
     tower,
 )
+from iwatower.formats import format_report
 
-from conftest import cyclic_module, poly, split_module
+from conftest import cyclic_module, poly, reference_fit_growth, split_module
+
+FAMILIES = ("Iwasawa_d1", "CuocoMonsky", "LiangLim", "Perbet_modpn", "Semidirect_rank")
 
 
 class TestExactInvariants:
@@ -146,6 +149,72 @@ class TestFitGrowth:
         data = [TowerDatum(n, 3**n + (n % 2), 0, 0) for n in range(6)]
         with pytest.raises(NonIntegralCoefficient):
             fit_growth(data, GrowthModel("Iwasawa_d1", 3, 1))
+
+    def test_level_below_0_rejected(self):
+        data = [TowerDatum(n, 3**n, 0, n) for n in (-1, 1, 2, 3)]
+        with pytest.raises(ValueError, match="tower levels must be >= 0, got n = -1"):
+            fit_growth(data, GrowthModel("Iwasawa_d1", 3, 1), n0=0)
+
+    def test_matches_reference(self):
+        """Seeded grid against the one-branch-per-family oracle: every
+        family with each d its rule allows up to 4, p in {3, 5, 7}, n0 in
+        {0, 1, 2}.  A tower has 3 to 6 distinct levels in 0..6, given in
+        shuffled order, some flagged with a corrupted datum.  Its data
+        is a random combination, coefficients -2..4, of p^(dn),
+        n*p^((d-1)n), p^((d-1)n) and n*p^(dn), sometimes plus noise of
+        -3..3 times p^((d-1)n) or n*p^((d-1)n) at every level (non-integral
+        fits) or at n <= 1 only (residuals below the fitted points).  Its
+        zp_rank is 0, constant, or growing like (n+1)*p^((d-2)n), with or
+        without a large value at n = 0 that only a window starting at 0
+        sees (rank-hypothesis failures)."""
+        rng = random.Random(89)
+        outcomes = dict.fromkeys(
+            ("report", "InsufficientData", "NonIntegralCoefficient", "HypothesisViolated"), 0
+        )
+        for family in FAMILIES:
+            for d in range(1, 5):
+                try:
+                    GrowthModel(family, 3, d)
+                except ValueError:
+                    continue
+                for p in (3, 5, 7):
+                    for n0 in (0, 1, 2):
+                        model = GrowthModel(family, p, d)
+                        for _ in range(6):
+                            data = self._random_tower(rng, p, d)
+                            try:
+                                want = format_report(reference_fit_growth(data, model, n0))
+                            except (InsufficientData, NonIntegralCoefficient, HypothesisViolated) as exc:
+                                with pytest.raises(type(exc)) as got:
+                                    fit_growth(data, model, n0)
+                                assert type(got.value) is type(exc)
+                                assert str(got.value) == str(exc)
+                                outcomes[type(exc).__name__] += 1
+                                continue
+                            assert format_report(fit_growth(data, model, n0)) == want
+                            outcomes["report"] += 1
+        assert min(outcomes.values()) > 0, outcomes
+
+    @staticmethod
+    def _random_tower(rng, p, d):
+        coeffs = [rng.randrange(-2, 5) if rng.random() < 0.5 else 0 for _ in range(4)]
+        noise = rng.choice(("none", "none", "all", "low"))
+        rank = rng.choice(("zero", "zero", "constant", "growing", "burn-in"))
+        data = []
+        for n in sorted(rng.sample(range(7), rng.randrange(3, 7))):
+            terms = (p ** (d * n), n * p ** ((d - 1) * n), p ** ((d - 1) * n), n * p ** (d * n))
+            value = sum(c * x for c, x in zip(coeffs, terms))
+            if noise == "all" or noise == "low" and n <= 1:
+                value += rng.randrange(-3, 4) * rng.choice((1, n)) * p ** ((d - 1) * n)
+            zp_rank = {"zero": 0, "constant": 2}.get(rank, (n + 1) * p ** (max(d - 2, 0) * n))
+            if rank == "burn-in" and n == 0:
+                zp_rank = 50
+            flags = ()
+            if rng.random() < 0.15:
+                value, flags = rng.randrange(10**6), ("PrecisionMargin",)
+            data.append(TowerDatum(n, value, zp_rank, value, flags))
+        rng.shuffle(data)
+        return data
 
     def test_flagged_points_excluded(self, ctx3):
         M = cyclic_module(ctx3, [9])

@@ -201,6 +201,20 @@ class TestPredictGrowth:
         assert [r.main_term for r in bounds] == [2, 9, 36]
         assert all(r.torsion_type == "p^n" for r in bounds)
 
+    @pytest.mark.parametrize("q, ext_d", [(5, 1), (3, 2)], ids=["p", "d"])
+    def test_report_must_match_prediction(self, q, ext_d):
+        rep = InvariantReport(p=3, d=1, method="fitted", mu=2, lam=1)
+        kind = "Zp" if ext_d == 1 else "Zpd"
+        with pytest.raises(
+            ValueError, match=f"report has p = 3, d = 1; prediction has p = {q}, d = {ext_d}"
+        ):
+            predict_growth(rep, ExtensionDescriptor(kind, ext_d), Prime(q), 2, range(3))
+
+    def test_level_below_0_rejected(self):
+        rep = InvariantReport(p=3, d=1, method="fitted", mu=2, lam=1)
+        with pytest.raises(ValueError, match="levels must be >= 0, got n = -1"):
+            predict_growth(rep, ExtensionDescriptor("Zp", 1), Prime(3), 2, [2, -1])
+
     def test_asserted_hypotheses_carried(self):
         rep = InvariantReport(p=3, d=2, method="fitted", rank_over_h=1)
         ext = ExtensionDescriptor(
