@@ -61,7 +61,7 @@ def exact_invariants_d1(M: ModulePresentation, guard: int = 1) -> InvariantRepor
     """mu and lambda of a d = 1 square-presented torsion module, read
     off the Weierstrass form of the determinant of the presentation."""
     if M.context.d != 1:
-        raise NotSquare("exact invariants require d = 1")
+        raise ValueError("exact invariants require d = 1")
     if not M.is_square():
         raise NotSquare("presentation matrix is not square")
     det = char_poly(M.relation_matrix())
@@ -296,8 +296,8 @@ def fit_growth(data, model: GrowthModel, n0: int = 1) -> InvariantReport:
     for (name, _), value in zip(spec.main, solution):
         if value.denominator != 1 or (name in _INTEGRAL_SLOTS and value < 0):
             raise NonIntegralCoefficient(
-                f"main-term coefficient {name} = {value} is not a "
-                f"{'non-negative ' if name in _INTEGRAL_SLOTS else ''}integer"
+                f"main-term coefficient {name} = {value} is not "
+                f"{'a non-negative' if name in _INTEGRAL_SLOTS else 'an'} integer"
             )
         slots[name] = int(value)
     residuals = tuple(

@@ -7,23 +7,25 @@ each summand only in the variables its relations use: a variable it
 does not use multiplies the copies of its coinvariants by p^n.  Each
 used variable T_j is reduced modulo one monic polynomial: a monic
 annihilator h(T_j) of the summand of degree < p^n when its determinant
-gives one, else the level-n element (1+T_j)^{p^n} - 1.  These are monic in distinct variables, so a monomial reduces one
-variable at a time through a table of reduced powers T^e per variable.
-A term c*T^e times every multiplier T^a is then one block: c times the
-Kronecker product of the table slices red_j[e_j : e_j + deg] (no
-Groebner machinery).  The full and the partial coinvariants are both
-built from these blocks.  The Smith normal form eliminates one p-adic
-valuation layer at a time (Cohen, GTM 138, section 2.4) on sparse dict
-rows of Python ints.  Each layer pivots on the rows with a unit mod p,
-fewest nonzeros first to limit fill-in, and skips the rest, as they gain
-no unit within the layer (see snf).  The assembly's int64 kernels need
-p^N <= floor(sqrt(2^63 - 1)); snf reads its input as an int64 array and
-checks that cap at entry for every input.
+gives one, else the level-n element (1+T_j)^{p^n} - 1.  These are monic
+in distinct variables, so a monomial reduces one variable at a time
+(no Groebner machinery).  A relation row holds only nonzeros: below the
+degree of its modulus a power of T_j is itself, and only the powers at
+or beyond it come from a table of reduced powers, as long as the
+largest exponent the summand uses.  The full and the partial
+coinvariants are both built from these rows.  The Smith normal form
+eliminates one p-adic valuation layer at a time (Cohen, GTM 138,
+section 2.4) on sparse dict rows of Python ints.  Each layer pivots on
+the rows with a unit mod p, fewest nonzeros first to limit fill-in, and
+skips the rest, as they gain no unit within the layer (see snf).  The
+int64 cap p^N <= floor(sqrt(2^63 - 1)) is checked by snf at entry for
+every input and by the assembly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -39,9 +41,9 @@ DEFAULT_DIMENSION_BOUND = 20000
 #: free at precision N (tower needs guard >= 2: exponents are below N).
 DEFAULT_GUARD = 2
 
-# floor(sqrt(2^63 - 1)).  The dense kernels add to or subtract from a
-# residue mod p^N the product of two such residues; p^N <= this cap
-# keeps every intermediate within (p^N - 1)^2 + p^N <= 2^63 - 1.
+# floor(sqrt(2^63 - 1)), the stated precision limit: p^N <= this cap
+# keeps (p^N - 1)^2 + p^N <= 2^63 - 1, a residue plus the product of two
+# residues.  snf and the assembly check it, though both use Python ints.
 _INT64_MODULUS_CAP = 3_037_000_499
 
 
@@ -117,6 +119,31 @@ class ModulePresentation:
     def is_square(self) -> bool:
         return len(self.relations) == self.generators
 
+    @cached_property
+    def _det(self):
+        """det of the relation matrix (see char_poly), or None when it is
+        not square, above CHAR_POLY_SIZE_BOUND or 0 at this precision."""
+        try:
+            return char_poly(self.relation_matrix())
+        except (NotSquare, PrecisionExhausted):
+            return None
+
+    @cached_property
+    def _parts(self) -> list:
+        """(summand, its annihilator or None, the variables its relations
+        use) for each summand (see _summands and _annihilator), found once
+        per presentation, which is immutable.  A summand whose determinant
+        has a unit constant term is 0 whatever variables the determinant
+        uses, as the determinant is a unit of Lambda (truncation at D
+        leaves that term exact); its annihilator is h = 1."""
+        ctx = self.context
+        parts = []
+        for S in _summands(self):
+            unit = S._det is not None and S._det.coefficient((0,) * ctx.d) % ctx.p.p
+            used = {v for row in S.relations for x in row for e in x.coefficients for v in range(ctx.d) if e[v]}
+            parts.append((S, (0, [1]) if unit else _annihilator(S), used))
+        return parts
+
 
 @dataclass(frozen=True)
 class TowerDatum:
@@ -153,28 +180,33 @@ def snf(matrix, p: Prime, N: int) -> AbelianShape:
     unit.  With no unit left the block is divided by p.  Elementary
     divisors do not depend on pivot order.
 
-    The rows are dict rows of Python ints, built once from the nonzeros,
-    with a column -> rows index that finds the rows hit by a pivot, so a
-    pivot costs the nonzeros it touches rather than a pass over the
-    block (the sparse phase of structured Gaussian elimination, after
-    LaMacchia and Odlyzko).
-    The input is read mod p^N into an int64 array, exactly for entries
-    of any size, so p^N is checked against _INT64_MODULUS_CAP at entry
-    for every input, whatever its density.
+    The rows are dict rows of Python ints, with a column -> rows index
+    that finds the rows hit by a pivot, so a pivot costs the nonzeros it
+    touches rather than a pass over the block (the sparse phase of
+    structured Gaussian elimination, after LaMacchia and Odlyzko).  The
+    coinvariants hand their rows over as built; an array or a list of
+    lists is read mod p^N, exactly for entries of any size, into the
+    same rows.  p^N is checked against _INT64_MODULUS_CAP at entry for
+    every input.
     """
     q = p.p
     m = _int64_modulus(q, N)
-    A = np.asarray(matrix)
-    if A.dtype != np.int64:
-        # numpy reads a Python int beyond int64 as object, uint64 or float64
-        A = (np.asarray(matrix, dtype=object) % m).astype(np.int64)
-    A = np.atleast_2d(A) % m
-    cols = A.shape[1]
-    live = {}
+    if not isinstance(matrix, _SparseRows):
+        A = np.asarray(matrix)
+        if A.dtype != np.int64:
+            # numpy reads a Python int beyond int64 as object, uint64 or float64
+            A = (np.asarray(matrix, dtype=object) % m).astype(np.int64)
+        A = np.atleast_2d(A) % m
+        rows = [{} for _ in range(A.shape[0])]
+        for (i, j), v in zip(np.argwhere(A).tolist(), A[A != 0].tolist()):
+            rows[i][j] = v
+        matrix = _SparseRows(rows, A.shape)
+    cols = matrix.shape[1]
+    live = {i: row for i, row in enumerate(matrix.rows) if row}
     index = [set() for _ in range(cols)]
-    for (i, j), v in zip(np.argwhere(A).tolist(), A[A != 0].tolist()):
-        live.setdefault(i, {})[j] = v
-        index[j].add(i)
+    for i, row in live.items():
+        for j in row:
+            index[j].add(i)
     exps = []
     for e in range(N):
         m = q ** (N - e)
@@ -208,57 +240,79 @@ def snf(matrix, p: Prime, N: int) -> AbelianShape:
 # ------------------------------------------------------------------
 
 
-def _reduction_table(modulus, m: int, size: int) -> np.ndarray:
-    """red[e] = coefficients mod m of T^e reduced modulo the monic
-    polynomial `modulus` (integer coefficients, constant term first) of
-    degree q, for e < size: the identity below q, then T^e = T * T^(e-1)
-    with T^q = -sum_{i<q} modulus[i] T^i."""
+@dataclass(frozen=True)
+class _SparseRows:
+    """Relation rows for snf: per row a dict {column: nonzero residue
+    mod p^N}, in row order, and the (rows, columns) shape of the matrix
+    they stand for.  snf updates the dicts in place."""
+
+    rows: list
+    shape: tuple
+
+
+def _reduced_powers(modulus, m: int, top: int, stride: int) -> list:
+    """red[e] = the nonzeros of T^e reduced modulo the monic polynomial
+    `modulus` (integer coefficients, constant term first) of degree q,
+    for e <= top, as (b * stride, coefficient mod m) pairs for T^b: T^e
+    itself below q, then T^e = T * T^(e-1) with T^q = -sum_{i<q}
+    modulus[i] T^i."""
     q = len(modulus) - 1
-    w = np.array([-c % m for c in modulus[:q]], dtype=np.int64)
-    red = np.zeros((size, q), dtype=np.int64)
-    red[:q] = np.eye(q, dtype=np.int64)
-    for e in range(q, size):
-        red[e, 1:] = red[e - 1, :-1]
-        red[e] = (red[e] + red[e - 1, -1] * w) % m
+    w = [c % m for c in modulus[:q]]
+    red = [[(e * stride, 1)] for e in range(min(q, top + 1))]
+    x = [0] * (q - 1) + [1]  # T^(q-1)
+    for _ in range(q, top + 1):
+        x = [(y - x[-1] * c) % m for y, c in zip([0] + x[:-1], w)]
+        red.append([(b * stride, c) for b, c in enumerate(x) if c])
     return red
 
 
 def _level_terms(M: ModulePresentation, moduli: dict):
     """Reduce the terms of M modulo the monic moduli[v] in each variable
-    v of `moduli`.  For each term c*T^e of entry (relation i, generator
-    g) yields (i, g, the exponents of e outside `moduli`, block).  Row a
-    of the block is c*T^(a+e) reduced, on the columns T^b; a_v and b_v
-    run below deg moduli[v], in np.ndindex order.  The block is c times
-    the Kronecker product of the slices red_v[e_v : e_v + deg moduli[v]]
-    of each variable's table, mod p^N.  Blocks are full size, so a
-    consumer holds one at a time."""
+    v of `moduli`.  Row (i, a) of the level relations is relation i
+    times the multiplier T^a, and column (g, b) is generator g times the
+    monomial T^b, with a_v and b_v below deg moduli[v], flattened in
+    np.ndindex order.  For each row in order and each term c*T^e of its
+    entries, yields (row, kept, cells): kept holds the exponents of e
+    outside `moduli`, and cells the nonzeros of c*T^(a+e) reduced as
+    (column, coefficient mod p^N) pairs.  Each variable's table of
+    reduced powers ends at the largest exponent the relations use."""
     ctx = M.context
     m = _int64_modulus(ctx.p.p, ctx.N)
     keep = [j for j in range(ctx.d) if j not in moduli]
-    # exponents are at most D, so D more rows than the degree suffice
-    tables = [(v, _reduction_table(h, m, len(h) + ctx.D)) for v, h in moduli.items()]
-    for i, row in enumerate(M.relations):
-        for g, entry in enumerate(row):
-            for exps, c in entry.coefficients.items():
-                block = np.full((1, 1), c, dtype=np.int64)
-                for v, red in tables:
-                    block = np.kron(block, red[exps[v]:exps[v] + red.shape[1]])
-                    block %= m
-                yield i, g, tuple(exps[j] for j in keep), block
+    degrees = [len(h) - 1 for h in moduli.values()]
+    b = prod(degrees)
+    tops = {v: max((x.degree(v) for row in M.relations for x in row), default=0) for v in moduli}
+    tables, stride = [], b
+    for (v, h), q in zip(moduli.items(), degrees):
+        stride //= q
+        tables.append(_reduced_powers(h, m, q - 1 + tops[v], stride))
+    multipliers = list(np.ndindex(*degrees))
+    for i, rel in enumerate(M.relations):
+        terms = [
+            (g * b, [exps[v] for v in moduli], tuple(exps[j] for j in keep), c)
+            for g, x in enumerate(rel) for exps, c in x.coefficients.items()
+        ]
+        for r, a in enumerate(multipliers, start=i * b):
+            for base, e, kept, c in terms:
+                cells = [(base, c)]
+                for red, av, ev in zip(tables, a, e):
+                    cells = [(o + s, z) for o, u in cells for s, y in red[av + ev] if (z := u * y % m)]
+                yield r, kept, cells
 
 
-def _relation_matrix(M: ModulePresentation, moduli: dict) -> np.ndarray:
-    """The relation matrix on the monomials reduced modulo `moduli`: row
-    (relation, multiplier T^a), column (generator, monomial T^b)."""
+def _relation_rows(M: ModulePresentation, moduli: dict) -> _SparseRows:
+    """The relation rows on the monomials reduced modulo `moduli` (see
+    _level_terms), with the shape of the matrix they stand for."""
     b = prod(len(h) - 1 for h in moduli.values())
-    A = np.zeros((len(M.relations) * b, M.generators * b), dtype=np.int64)
-    for i, g, _, block in _level_terms(M, moduli):
-        # each block is < p^N <= 2^63 / _INT64_MODULUS_CAP, so the blocks
-        # of an entry with fewer than 3 * 10^9 terms sum within int64
-        A[i * b:(i + 1) * b, g * b:(g + 1) * b] += block
-        del block  # free it before the next block is built
-    A %= M.context.modulus
-    return A
+    m = M.context.modulus
+    rows = [{} for _ in range(len(M.relations) * b)]
+    for r, _, cells in _level_terms(M, moduli):
+        row = rows[r]
+        for c, x in cells:
+            row[c] = row.get(c, 0) + x
+    for i, row in enumerate(rows):  # one row at a time, to free each sum as it goes
+        rows[i] = {c: y for c, x in row.items() if (y := x % m)}
+    return _SparseRows(rows, (len(rows), M.generators * b))
 
 
 def _annihilator(M: ModulePresentation):
@@ -272,9 +326,8 @@ def _annihilator(M: ModulePresentation):
     ctx, m = M.context, M.context.modulus
     if any(sum(max(e.degree(v) for e in row) for row in M.relations) > ctx.D for v in range(ctx.d)):
         return None
-    try:
-        det = char_poly(M.relation_matrix())
-    except (NotSquare, PrecisionExhausted):  # not square, too large, or det = 0
+    det = M._det
+    if det is None:
         return None
     support = {v for exps in det.coefficients for v in range(ctx.d) if exps[v]}
     j = min(support, default=0)
@@ -331,10 +384,8 @@ def coinvariants(
     ctx = M.context
     p, N, d = ctx.p.p, ctx.N, ctx.d
     plans, basis = [], 0
-    for S in _summands(M):
-        ann = _annihilator(S)
+    for S, ann, used in M._parts:
         j, h = ann if ann and len(ann[1]) <= p ** n else (None, None)
-        used = {v for row in S.relations for x in row for e in x.coefficients for v in range(d) if e[v]}
         plans.append((S, j, h, sorted(used | ({j} - {None}))))
         basis += S.generators * (p ** n if h is None else len(h) - 1) * p ** (n * d - n)
     if basis > dimension_bound:
@@ -350,20 +401,21 @@ def coinvariants(
             continue
         if h is not None:  # level rows w_n(T_j) e_g; w_n mod h is row 0 of w_n(C_h)
             m = _int64_modulus(p, N)
-            x = np.eye(len(h) - 1, dtype=object) + _reduction_table(h, m, len(h))[1:]
+            x = np.eye(len(h) - 1, dtype=object)  # I + C_h: row a is T^(a+1) mod h
+            for a, cells in enumerate(_reduced_powers(h, m, len(h) - 1, 1)[1:]):
+                for c, y in cells:
+                    x[a, c] += y
             for _ in range(n):
                 x = np.linalg.matrix_power(x, p) % m
             w = SeriesElement.univariate(ctx, [x[0, 0] - 1, *x[0, 1:]], j)
             S = ModulePresentation(ctx, k, S.relations + tuple(
                 tuple(w if g == i else SeriesElement.zero(ctx) for g in range(k)) for i in range(k)
             ))
-        nrows, ncols = len(S.relations) * b, k * b
         try:
-            shape = snf(_relation_matrix(S, moduli), ctx.p, N)
+            shape = snf(_relation_rows(S, moduli), ctx.p, N)
         except MemoryError as exc:
             raise DimensionOverflow(
-                f"the {nrows} x {ncols} relation matrix ({8 * nrows * ncols} bytes)"
-                " does not fit in memory"
+                f"the {len(S.relations) * b} x {k * b} relation matrix does not fit in memory"
             ) from exc
         torsion += shape.torsion_exponents * copies
         free += shape.free_rank_at_precision * copies
@@ -401,10 +453,10 @@ def partial_coinvariants(
     # rows[relation, multiplier][generator, monomial]: kept exponents -> coefficient
     rows = [[{} for _ in range(new_gens)] for _ in range(len(M.relations) * b)]
     omega = omega_int_coeffs(ctx.p.p, n)
-    for i, g, kept, block in _level_terms(M, dict.fromkeys(variables, omega)):
-        for a, mono in zip(*np.nonzero(block)):
-            coeffs = rows[i * b + a][g * b + mono]
-            coeffs[kept] = coeffs.get(kept, 0) + int(block[a, mono])
+    for r, kept, cells in _level_terms(M, dict.fromkeys(variables, omega)):
+        for c, x in cells:
+            coeffs = rows[r][c]
+            coeffs[kept] = coeffs.get(kept, 0) + x
     new_relations = tuple(
         tuple(SeriesElement(new_ctx, coeffs) for coeffs in row) for row in rows
     )

@@ -408,8 +408,8 @@ def reference_fit_growth(data, model, n0=1):
         value = Fraction(_det(replaced), det)
         if value.denominator != 1 or (name in nonneg and value < 0):
             raise NonIntegralCoefficient(
-                f"main-term coefficient {name} = {value} is not a "
-                f"{'non-negative ' if name in nonneg else ''}integer"
+                f"main-term coefficient {name} = {value} is not "
+                f"{'a non-negative' if name in nonneg else 'an'} integer"
             )
         slots[name] = int(value)
     residuals = tuple(

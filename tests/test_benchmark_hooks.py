@@ -39,29 +39,44 @@ def test_instrument_resolves_every_hook():
     assert proc.returncode == 0, proc.stderr
 
 
-D2_ROUND = """
+TRACED_ROUND = """
 import json, sys
 from pathlib import Path
 import spans, workloads
 
 tracer = spans.Tracer()
 spans.instrument(tracer)
-attempted, failures = workloads.D2Tower(11, Path(sys.argv[1])).run_round(tracer.tags)
+workload = getattr(workloads, sys.argv[1])(11, Path(sys.argv[2]))
+attempted, failures = workload.run_round(tracer.tags)
 layers = spans.layer_metrics(tracer.spans, 1)
 print(json.dumps([attempted, failures, {k: v["value"] for k, v in layers.items() if k.startswith("snf.")}]))
 """
 
 
-def test_traced_round_sees_every_coinvariant_snf(tmp_path):
-    # one d2_tower round at seed 11: both modules split, so each of the
-    # 8 coinvariant SNFs (4 levels, 2 modules) is 1 x 1 or 1 x 2
+def traced_round(workload, tmp_path):
+    """(attempted, failures, snf.* metrics) of one traced round at seed 11."""
     src = str(Path(iwatower.__file__).parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", D2_ROUND, str(tmp_path)],
+        [sys.executable, "-c", TRACED_ROUND, workload, str(tmp_path)],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(PERFBENCH)]), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
     )
     assert proc.returncode == 0, proc.stderr
-    attempted, failures, snf = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_traced_round_sees_every_coinvariant_snf(tmp_path):
+    # one d2_tower round at seed 11: both modules split, so each of the
+    # 8 coinvariant SNFs (4 levels, 2 modules) is 1 x 1 or 1 x 2
+    attempted, failures, snf = traced_round("D2Tower", tmp_path)
     assert (attempted, failures) == (4, [])
     assert (snf["snf.calls"], snf["snf.cells"], snf["snf.pivots"]) == (8, 11, 8)
+
+
+def test_sparse_rows_report_their_dense_shape(tmp_path):
+    # one d1_pipeline round at seed 11: the coinvariants hand snf sparse
+    # rows, and the tracer still counts the cells of the matrix they
+    # stand for, as it did for the dense matrices built before
+    attempted, failures, snf = traced_round("D1Pipeline", tmp_path)
+    assert (attempted, failures) == (84, [])
+    assert (snf["snf.calls"], snf["snf.cells"], snf["snf.pivots"]) == (144, 930_812, 3_803)

@@ -116,6 +116,15 @@ class TestTower:
         assert main(["tower", str(path), "--n-max", "2", "--dim-bound", "0"]) == 0
         assert capsys.readouterr().out.splitlines()[1:] == [f"{n}\t0\t0\t0\t-" for n in range(3)]
 
+    @pytest.mark.parametrize("relation", ["1 + T1", "1 + T1 + T2"])
+    def test_dim_bound_0_unit_constant_term(self, relation, tmp_path, capsys):
+        # a determinant with a unit constant term is a unit of Lambda_2,
+        # whatever variables it uses: the module is 0, with basis 0
+        path = tmp_path / "mod.txt"
+        path.write_text(MODULE_DOC.replace("d: 1", "d: 2").replace("T1 - p", relation))
+        assert main(["tower", str(path), "--n-max", "2", "--dim-bound", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [f"{n}\t0\t0\t0\t-" for n in range(3)]
+
     def test_distinguished_within_bound(self, module_file, tmp_path):
         # T1 - p is its own monic annihilator: one basis element per level
         out = tmp_path / "t.tsv"
@@ -317,6 +326,13 @@ class TestInvariants:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: {message}\n" == captured.err
+
+
+    def test_two_variables_input_error(self, tmp_path, capsys):
+        path = tmp_path / "mod.txt"
+        path.write_text(MODULE_DOC.replace("d: 1", "d: 2"))
+        assert main(["invariants", str(path)]) == 1
+        assert capsys.readouterr().err == "error: ValueError: exact invariants require d = 1\n"
 
 
 class TestHeaderOverrides:

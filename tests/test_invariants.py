@@ -49,6 +49,13 @@ class TestExactInvariants:
         with pytest.raises(NotSquare):
             exact_invariants_d1(M)
 
+    def test_two_variables_rejected(self, ctx3_d2):
+        # square, so only the variable count is wrong: a ValueError, not NotSquare
+        t = SeriesElement.variable(ctx3_d2, 0)
+        M = ModulePresentation(ctx3_d2, 1, ((t,),))
+        with pytest.raises(ValueError, match="exact invariants require d = 1"):
+            exact_invariants_d1(M)
+
 
 class TestMuOfModPn:
     def test_known_values(self):
@@ -149,6 +156,12 @@ class TestFitGrowth:
         data = [TowerDatum(n, 3**n + (n % 2), 0, 0) for n in range(6)]
         with pytest.raises(NonIntegralCoefficient):
             fit_growth(data, GrowthModel("Iwasawa_d1", 3, 1))
+
+    def test_non_integral_l0_message(self):
+        # l0 = 1/3 in 9^n + l0 n 3^n; l0 is the one slot that may be negative
+        data = [TowerDatum(n, 9**n + n * 3**n // 3, 0, 0) for n in range(5)]
+        with pytest.raises(NonIntegralCoefficient, match=r"^main-term coefficient l0 = 1/3 is not an integer$"):
+            fit_growth(data, GrowthModel("CuocoMonsky", 3, 2))
 
     def test_level_below_0_rejected(self):
         data = [TowerDatum(n, 3**n, 0, n) for n in (-1, 1, 2, 3)]

@@ -23,7 +23,7 @@ from iwatower import (
     torsion_size_resultant_oracle,
     tower,
 )
-from iwatower.modules import _annihilator, _relation_matrix, _summands
+from iwatower.modules import _annihilator, _relation_rows, _summands
 from iwatower.series import omega_int_coeffs
 from iwatower.selftest import _oracle_shape_exponents as oracle_exponents
 
@@ -312,7 +312,12 @@ class TestCoinvariants:
             M = ModulePresentation(ctx, k, relations)
             # the level-n moduli of every module without a monic annihilator
             moduli = dict.fromkeys(range(d), omega_int_coeffs(p, n))
-            assert np.array_equal(_relation_matrix(M, moduli), reference_relation_matrix(M, n))
+            sparse = _relation_rows(M, moduli)
+            dense = np.zeros(sparse.shape, dtype=np.int64)
+            for i, row in enumerate(sparse.rows):
+                assert all(row.values()), row
+                dense[i, list(row)] = list(row.values())
+            assert np.array_equal(dense, reference_relation_matrix(M, n))
 
 
 def annihilated_module(rng, d, k, p, N, degrees):
@@ -539,8 +544,8 @@ class TestSummands:
         def refuse(*args):
             raise MemoryError
 
-        monkeypatch.setattr(iwatower.modules, "_relation_matrix", refuse)
-        with pytest.raises(DimensionOverflow, match=r"the 18 x 18 relation matrix \(2592 bytes\)"):
+        monkeypatch.setattr(iwatower.modules, "_relation_rows", refuse)
+        with pytest.raises(DimensionOverflow, match=r"the 18 x 18 relation matrix does not fit in memory"):
             coinvariants(M, 2)
 
     def test_split_mu_module_needs_no_large_matrix(self):
@@ -600,32 +605,69 @@ class TestTower:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="needs Linux RLIMIT_AS")
     def test_memory_error_flagged(self, tmp_path):
-        # a connected presentation on 3 generators using both variables,
-        # with mu > 0 (so it neither splits nor has an annihilator):
-        # basis 19,683 at n = 4, within DEFAULT_DIMENSION_BOUND, but its
-        # 3 GB matrix cannot be allocated under 1 GiB of address space
-        # beyond the imports
+        # Lambda_2/(T1, T2, T1^30 T2^30, T1^30 T2^29, T1^29 T2^30) = Z_p on
+        # one generator: basis 6,561 at n = 4, within DEFAULT_DIMENSION_BOUND.
+        # The T1 and T2 rows pivot on single units, so levels 0-3 take a few
+        # seconds, but at n = 4 each of the last three relations has ~900
+        # rows of up to 6,561 nonzeros mod 3^16, which do not fit under 1 GiB
+        # of address space beyond the imports (the whole level needs about
+        # 2.7 GB)
+        module = tmp_path / "dense.txt"
+        module.write_text(
+            "p: 3\nN: 16\nd: 2\nD: 30\ngenerators: 1\nrelation: T1\nrelation: T2\n"
+            "relation: T1^30*T2^30\nrelation: T1^30*T2^29\nrelation: T1^29*T2^30\n"
+        )
+        proc = run_under_address_limit(["tower", str(module), "--n-max", "4"], 2**30)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "4\t0\t0\t0\tDimensionOverflow"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs Linux RLIMIT_AS")
+    def test_connected_mu_closed_form(self, tmp_path):
+        # ((p, T1, 0), (0, p, T2), (0, 0, p)) at d = 2 neither splits nor has
+        # an annihilator; its level-n coinvariants have order p^(3 p^(2n)),
+        # on 19,683 columns at n = 4, which fit under 256 MiB of address
+        # space beyond the imports
         module = tmp_path / "chain.txt"
         module.write_text(
             "p: 3\nN: 8\nd: 2\nD: 30\ngenerators: 3\n"
             "relation: p; T1; 0\nrelation: 0; p; T2\nrelation: 0; 0; p\n"
         )
-        script = textwrap.dedent(f"""
-            import resource, sys
-            from iwatower.cli import main
-            size = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
-            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-            resource.setrlimit(resource.RLIMIT_AS, (size + 2**30, hard))
-            sys.exit(main(["tower", {str(module)!r}, "--n-max", "4"]))
-        """)
-        src = str(Path(iwatower.__file__).parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
-        )
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "4\t0\t0\t0\tDimensionOverflow"
+        proc = run_under_address_limit(["tower", str(module), "--n-max", "4"], 2**28)
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split("\t") for line in proc.stdout.splitlines()[1:]]
+        assert [(r[0], r[1], r[2], r[4]) for r in rows] == [
+            (str(n), str(3 * 3 ** (2 * n)), "0", "-") for n in range(5)
+        ]
+
+    def test_linear_two_variable_closed_form(self):
+        # Lambda_2/(T2 - (1+p) T1 - p), p = 3, uses both variables and has
+        # no annihilator; log_torsion is (n + 1) p^n, and n = 4 is one
+        # 6,561 x 6,561 SNF
+        ctx = PrecisionContext(Prime(3), 8, 2, 30)
+        f = SeriesElement(ctx, {(0, 1): 1, (1, 0): -4, (0, 0): -3})
+        M = ModulePresentation(ctx, 1, ((f,),))
+        for n in range(5):
+            shape = coinvariants(M, n)
+            assert (shape.log_torsion, shape.zp_rank) == ((n + 1) * 3**n, 0), n
+
+
+def run_under_address_limit(argv, headroom):
+    """Runs the CLI on `argv` in a fresh process whose address space is
+    capped at its size after the imports plus `headroom` bytes."""
+    script = textwrap.dedent(f"""
+        import resource, sys
+        from iwatower.cli import main
+        size = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (size + {headroom}, hard))
+        sys.exit(main({argv!r}))
+    """)
+    src = str(Path(iwatower.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+    )
 
 
 class TestResultantOracle:
