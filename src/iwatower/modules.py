@@ -2,31 +2,32 @@
 algebra: coinvariants at tower levels, Smith normal form over Z/p^N,
 and the independent resultant oracle for one-variable torsion sizes.
 
-Coinvariants split the module into direct summands first and expand
-each summand only in the variables its relations use: a variable it
-does not use multiplies the copies of its coinvariants by p^n.  Each
+Coinvariants split the module into direct summands first, factor out the
+p-power content of each (p^mu S' has the elementary divisors of S' times
+p^mu) and expand S' only in the variables its relations use: a variable
+it does not use multiplies the copies of its coinvariants by p^n.  Each
 used variable T_j is reduced modulo one monic polynomial: a monic
 annihilator h(T_j) of the summand of degree < p^n when its determinant
 gives one, else the level-n element (1+T_j)^{p^n} - 1.  These are monic
-in distinct variables, so a monomial reduces one variable at a time
-(no Groebner machinery).  A relation row holds only nonzeros: below the
+in distinct variables, so a monomial reduces one variable at a time (no
+Groebner machinery).  A relation row holds only nonzeros: below the
 degree of its modulus a power of T_j is itself, and only the powers at
-or beyond it come from a table of reduced powers, as long as the
-largest exponent the summand uses.  The full and the partial
-coinvariants are both built from these rows.  The Smith normal form
-eliminates one p-adic valuation layer at a time (Cohen, GTM 138,
-section 2.4) on sparse dict rows of Python ints.  Each layer pivots on
-the rows with a unit mod p, fewest nonzeros first to limit fill-in, and
-skips the rest, as they gain no unit within the layer (see snf).  The
-int64 cap p^N <= floor(sqrt(2^63 - 1)) is checked by snf at entry for
-every input and by the assembly.
+or beyond it come from a table of reduced powers, as long as the largest
+exponent the summand uses.  The full and the partial coinvariants are
+both built from these rows.  The Smith normal form eliminates one p-adic
+valuation layer at a time (Cohen, GTM 138, section 2.4) on sparse dict
+rows of Python ints mod p^N, never divided: each pass pivots at the
+least row content p^e, on the rows of that content, fewest nonzeros
+first to limit fill-in (see snf).  The int64 cap
+p^N <= floor(sqrt(2^63 - 1)) is checked by snf at entry for every input
+and by the assembly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 
@@ -130,18 +131,24 @@ class ModulePresentation:
 
     @cached_property
     def _parts(self) -> list:
-        """(summand, its annihilator or None, the variables its relations
-        use) for each summand (see _summands and _annihilator), found once
-        per presentation, which is immutable.  A summand whose determinant
-        has a unit constant term is 0 whatever variables the determinant
-        uses, as the determinant is a unit of Lambda (truncation at D
-        leaves that term exact); its annihilator is h = 1."""
+        """(S', mu, annihilator of S' or None, variables S' uses) for each
+        summand S = p^mu S' (see _summands and _annihilator), found once
+        per presentation, which is immutable.  mu is the least content
+        valuation of the entries of S; S' divides each coefficient by p^mu,
+        a lift of S / p^mu, and p^mu S' = S for any lift.  A summand whose
+        determinant has a unit constant term is 0 whatever variables the
+        determinant uses, as the determinant is a unit of Lambda
+        (truncation at D leaves that term exact); its annihilator is h = 1."""
         ctx = self.context
         parts = []
         for S in _summands(self):
+            mu = min((x.content_valuation() for row in S.relations for x in row), default=0)
+            if mu:
+                S = ModulePresentation(ctx, S.generators, tuple(tuple(SeriesElement(
+                    ctx, {e: c // ctx.p.p ** mu for e, c in x.coefficients.items()}) for x in row) for row in S.relations))
             unit = S._det is not None and S._det.coefficient((0,) * ctx.d) % ctx.p.p
             used = {v for row in S.relations for x in row for e in x.coefficients for v in range(ctx.d) if e[v]}
-            parts.append((S, (0, [1]) if unit else _annihilator(S), used))
+            parts.append((S, mu, (0, [1]) if unit else _annihilator(S), used))
         return parts
 
 
@@ -169,16 +176,16 @@ def snf(matrix, p: Prime, N: int) -> AbelianShape:
     """Shape of the cokernel of `matrix` viewed as relations (rows)
     among `ncols` generators of (Z/p^N)^ncols.
 
-    Eliminates one valuation layer at a time: at layer e the block
-    holds the unpivoted rows divided by p^e, modulo p^(N-e).  A layer
-    drops the zero rows, then visits the rows with a unit mod p, fewest
-    nonzeros first (ties in row order) to limit fill-in.  A row still
-    holding a unit pivots on its first one: a multiple of it is taken
-    from each row hit in the pivot column, and it is dropped.  A
-    row without a unit is skipped: an update subtracts the pivot row
-    times the row's entry in the pivot column, 0 mod p, so it gains no
-    unit.  With no unit left the block is divided by p.  Elementary
-    divisors do not depend on pivot order.
+    Eliminates one valuation layer at a time on rows mod p^N that are
+    never divided.  A pass takes p^e, the least content gcd(p^N, row) of
+    a live row, so no layer without such a row is visited, and visits the
+    rows of content p^e, fewest nonzeros first (ties in row order) to
+    limit fill-in.  A row still holding an entry u p^e, u a unit, pivots
+    on its first one: (x / p^e) u^-1 times it is taken from each row with
+    x in the pivot column, and it is dropped.  A row with no such entry
+    left is skipped, as an update then subtracts a multiple of p times
+    the pivot row.  The rows cleared to zero leave at the end of a pass.
+    Elementary divisors do not depend on pivot order.
 
     The rows are dict rows of Python ints, with a column -> rows index
     that finds the rows hit by a pivot, so a pivot costs the nonzeros it
@@ -208,20 +215,21 @@ def snf(matrix, p: Prime, N: int) -> AbelianShape:
         for j in row:
             index[j].add(i)
     exps = []
-    for e in range(N):
-        m = q ** (N - e)
-        units = [i for i, row in live.items() if any(v % q for v in row.values())]
-        for i in sorted(units, key=lambda i: len(live[i])):
+    while live:
+        contents = [gcd(m, *row.values()) for row in live.values()]
+        pe = min(contents)
+        e = ord_p(pe, p)
+        for i in sorted((i for i, g in zip(live, contents) if g == pe), key=lambda i: len(live[i])):
             row = live[i]
-            j = min((c for c, v in row.items() if v % q), default=None)
+            j = min((c for c, v in row.items() if v % (pe * q)), default=None)
             if j is None:
                 continue
             del live[i]
-            inv = pow(row[j], -1, m)
+            inv = pow(row[j] // pe, -1, m)
             # the index keeps rows since pivoted or cleared in column j
             for r in [r for r in index[j] if j in live.get(r, ())]:
                 target = live[r]
-                f = target[j] * inv % m
+                f = target[j] // pe * inv % m
                 for c, v in row.items():
                     x = (target.get(c, 0) - f * v) % m
                     if x:
@@ -230,8 +238,7 @@ def snf(matrix, p: Prime, N: int) -> AbelianShape:
                     else:
                         target.pop(c, None)
             exps.append(e)
-        # the rows cleared to zero leave; the rest are divided by p
-        live = {i: {c: v // q for c, v in row.items()} for i, row in live.items() if row}
+        live = {i: row for i, row in live.items() if row}
     return AbelianShape(tuple(e for e in exps if e), cols - len(exps), N)
 
 
@@ -367,58 +374,64 @@ def coinvariants(
 
     Coinvariants of a direct sum are the sum of the coinvariants, so each
     summand S of M (see _summands) is taken alone and the exponents are
-    merged in sorted order.  If the relations of S use only the variables
-    in U, S is S' (x) Z_p[[T_v : v not in U]], and its coinvariants are
-    p^(n(d - #U)) copies of those of S' over U.
+    merged in sorted order.  S is p^mu S' (see ModulePresentation._parts),
+    and SNF(p^mu A) = p^mu SNF(A): of the k p^(nd) divisors of S' on the
+    monomial basis, each torsion exponent e of S' becomes e + mu (free
+    rank when e + mu >= N) and the units become mu.  If the relations of
+    S' use only the variables in U, its coinvariants are p^(n(d - #U))
+    copies of those over U, as S' is S'' (x) Z_p[[T_v : v not in U]].
 
-    With a monic annihilator h(T_j) of S (see _annihilator) of degree
+    With a monic annihilator h(T_j) of S' (see _annihilator) of degree
     < p^n, T_j joins U and its exponents are reduced modulo h, as
     (Z/p^N)[T_j]/(w_n, h) is one ring whichever is reduced by first, and
     each generator gets the level rows w_n(C_h) (x) I, C_h the companion
     matrix of h, from n successive p-th powers of I + C_h.  The other
     variables in U keep exponents < p^n.  `dimension_bound` caps the sum
     over the summands of k * prod deg, over all d variables for a summand
-    on k generators."""
+    on k generators, or k p^(nd) for one with mu > 0."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     ctx = M.context
     p, N, d = ctx.p.p, ctx.N, ctx.d
     plans, basis = [], 0
-    for S, ann, used in M._parts:
+    for S, mu, ann, used in M._parts:
         j, h = ann if ann and len(ann[1]) <= p ** n else (None, None)
-        plans.append((S, j, h, sorted(used | ({j} - {None}))))
-        basis += S.generators * (p ** n if h is None else len(h) - 1) * p ** (n * d - n)
+        plans.append((S, mu, j, h, sorted(used | ({j} - {None}))))
+        basis += S.generators * (p ** n if h is None or mu else len(h) - 1) * p ** (n * d - n)
     if basis > dimension_bound:
         raise DimensionOverflow(f"basis size {basis} exceeds bound {dimension_bound}")
-    omega = omega_int_coeffs(p, n) if any(v != j for _, j, _, U in plans for v in U) else None
+    omega = omega_int_coeffs(p, n) if any(v != j for _, _, j, _, U in plans for v in U) else None
     torsion, free = [], 0
-    for S, j, h, U in plans:
+    for S, mu, j, h, U in plans:
         k, copies = S.generators, p ** (n * (d - len(U)))
         moduli = {v: h if v == j else omega for v in U}
         b = prod(len(x) - 1 for x in moduli.values())
-        if not S.relations or not b:
-            free += k * b * copies
-            continue
-        if h is not None:  # level rows w_n(T_j) e_g; w_n mod h is row 0 of w_n(C_h)
-            m = _int64_modulus(p, N)
-            x = np.eye(len(h) - 1, dtype=object)  # I + C_h: row a is T^(a+1) mod h
-            for a, cells in enumerate(_reduced_powers(h, m, len(h) - 1, 1)[1:]):
-                for c, y in cells:
-                    x[a, c] += y
-            for _ in range(n):
-                x = np.linalg.matrix_power(x, p) % m
-            w = SeriesElement.univariate(ctx, [x[0, 0] - 1, *x[0, 1:]], j)
-            S = ModulePresentation(ctx, k, S.relations + tuple(
-                tuple(w if g == i else SeriesElement.zero(ctx) for g in range(k)) for i in range(k)
-            ))
-        try:
-            shape = snf(_relation_rows(S, moduli), ctx.p, N)
-        except MemoryError as exc:
-            raise DimensionOverflow(
-                f"the {len(S.relations) * b} x {k * b} relation matrix does not fit in memory"
-            ) from exc
-        torsion += shape.torsion_exponents * copies
-        free += shape.free_rank_at_precision * copies
+        t, f = (), k * b
+        if S.relations and b:
+            if h is not None:  # level rows w_n(T_j) e_g; w_n mod h is row 0 of w_n(C_h)
+                m = _int64_modulus(p, N)
+                x = np.eye(len(h) - 1, dtype=object)  # I + C_h: row a is T^(a+1) mod h
+                for a, cells in enumerate(_reduced_powers(h, m, len(h) - 1, 1)[1:]):
+                    for c, y in cells:
+                        x[a, c] += y
+                for _ in range(n):
+                    x = np.linalg.matrix_power(x, p) % m
+                w = SeriesElement.univariate(ctx, [x[0, 0] - 1, *x[0, 1:]], j)
+                S = ModulePresentation(ctx, k, S.relations + tuple(
+                    tuple(w if g == i else SeriesElement.zero(ctx) for g in range(k)) for i in range(k)
+                ))
+            try:
+                shape = snf(_relation_rows(S, moduli), ctx.p, N)
+            except MemoryError as exc:
+                raise DimensionOverflow(
+                    f"the {len(S.relations) * b} x {k * b} relation matrix does not fit in memory"
+                ) from exc
+            t, f = shape.torsion_exponents, shape.free_rank_at_precision
+        if mu:  # S = p^mu S': each of the k p^(n #U) divisors of S' gains mu, up to N
+            u = k * p ** (n * len(U)) - len(t) - f
+            t, f = (mu,) * u + tuple(e + mu for e in t if e + mu < N), f + sum(e + mu >= N for e in t)
+        torsion += t * copies
+        free += f * copies
     return AbelianShape(tuple(sorted(torsion)), free, N)
 
 

@@ -39,6 +39,9 @@ SNF_KINDS = (
 # kinds too large for the sympy oracle, checked against reference_snf
 LARGE_KINDS = ("mu_banded", "band_over_block", "fill_in", "dense_large")
 
+# kinds whose rows share a content p^k > 1, or have contents that differ
+CONTENT_KINDS = ("p_power", "row_contents")
+
 
 def band_over_block(rng, p, N, near=False):
     """An upper bidiagonal band of 8 unit rows, each followed by a unit
@@ -67,8 +70,12 @@ def snf_inputs(kind, count=8):
     multiples of p, so that `snf` pivots in an order other than the row
     order.  `mu_banded` are the n = 3 relation matrices of the mu > 0
     modules Lambda/(p (T - 3a)) and Lambda/(p^2); `fill_in` rows hold 5
-    units at random, which fill in as they are pivoted."""
-    rng = np.random.default_rng((SNF_KINDS + LARGE_KINDS).index(kind))
+    units at random, which fill in as they are pivoted.  `p_power` is
+    p^k times a random matrix, k from 1 to N - 1, so `snf` has layers
+    with no unit below p^k; `row_contents` multiplies each row by its
+    own p^c, c from 0 to N - 1, as a unit row over a p^3-divisible
+    block."""
+    rng = np.random.default_rng((SNF_KINDS + LARGE_KINDS + CONTENT_KINDS).index(kind))
     if kind == "mu_banded":
         for t in range(count):
             ctx = PrecisionContext(Prime(3), int(rng.integers(3, 9)), 1, 4)
@@ -77,7 +84,7 @@ def snf_inputs(kind, count=8):
         return
     for _ in range(count):
         p = int(rng.choice([3, 5, 7]))
-        N = 1 if kind == "n_equals_1" else int(rng.integers(1, 9))
+        N = 1 if kind == "n_equals_1" else int(rng.integers(2 if kind in CONTENT_KINDS else 1, 9))
         m = p**N
         rows, cols = (int(x) for x in rng.integers(1, 13, size=2))
         A = rng.integers(0, m, (rows, cols))
@@ -107,6 +114,10 @@ def snf_inputs(kind, count=8):
         elif kind == "band_over_block":
             N = max(N, 2)
             A = band_over_block(rng, p, N)
+        elif kind == "p_power":
+            A = A * p ** int(rng.integers(1, N)) % m
+        elif kind == "row_contents":
+            A = A * p ** rng.integers(0, N, (rows, 1)) % m
         elif kind == "fill_in":
             N = max(N, 2)
             A = np.zeros((30, 30), dtype=np.int64)
@@ -146,7 +157,7 @@ class TestSnf:
             shape = snf(matrix, Prime(p), N)
             assert full_profile(shape, k) == oracle_exponents(matrix, p, N)
 
-    @pytest.mark.parametrize("kind", SNF_KINDS)
+    @pytest.mark.parametrize("kind", SNF_KINDS + CONTENT_KINDS)
     def test_matches_reference_kernels(self, kind):
         for A, p, N in snf_inputs(kind):
             shape = snf(A, p, N)
@@ -160,6 +171,16 @@ class TestSnf:
     def test_large_kinds_match_reference(self, kind):
         for A, p, N in snf_inputs(kind):
             assert snf(A, p, N) == reference_snf(A, p, N)
+
+    @pytest.mark.parametrize("kind", SNF_KINDS + LARGE_KINDS + CONTENT_KINDS)
+    def test_content_adds_to_every_divisor(self, kind):
+        # SNF(p^k A) = p^k SNF(A): the k layers below the content pivot
+        # nothing and add no divisor; a divisor reaching N is free
+        for A, p, N in snf_inputs(kind):
+            base = full_profile(snf(A, p, N), A.shape[1])
+            for k in range(1, N):
+                shape = snf(A * p.p**k % p.p**N, p, N)
+                assert full_profile(shape, A.shape[1]) == sorted(min(e + k, N) for e in base), (k, N)
 
     def test_degenerate_shapes(self):
         rng = np.random.default_rng(31)
@@ -560,6 +581,103 @@ class TestSummands:
         elapsed = time.perf_counter() - start
         assert (shape.torsion_exponents, shape.free_rank_at_precision) == ((1,) * 19683, 0)
         assert elapsed < 0.5, elapsed
+
+
+def content_module(rng, d, k, p, N):
+    """A seeded presentation p^mu A with mu from 1 to N - 1 (N - 1 in
+    half the cases, so that divisors spill into free rank), or, for
+    k >= 2 at times, the direct sum of such a block and one with mu = 0,
+    rows shuffled.  Each block uses a seeded set V of variables.  It is
+    a unit (upper triangular, unit constants on the diagonal),
+    annihilated (upper triangular, a distinguished polynomial in one
+    T_j on the diagonal) or generic: one relation more than generators,
+    so it has no determinant and stays on the monomial basis."""
+    ctx = PrecisionContext(Prime(p), N, d, 30)
+    zero = SeriesElement.zero(ctx)
+
+    def element(V, constant):
+        coeffs = {(0,) * d: constant}
+        for _ in range(rng.randrange(0, 3)):
+            exps = tuple(rng.randrange(3) if v in V else 0 for v in range(d))
+            coeffs[exps] = coeffs.get(exps, 0) + rng.randrange(ctx.modulus)
+        return SeriesElement(ctx, coeffs)
+
+    def block_rows(kind, s, V):
+        if kind == "generic":
+            return [[element(V, rng.randrange(ctx.modulus)) for _ in range(s)] for _ in range(s + 1)]
+        j = rng.choice(V)
+        rows = []
+        for i in range(s):
+            if kind == "unit":
+                diagonal = SeriesElement.constant(ctx, rng.randrange(1, p) + p * rng.randrange(ctx.modulus))
+            else:
+                coeffs = [p * rng.randrange(ctx.modulus) for _ in range(rng.randrange(1, 3))]
+                diagonal = SeriesElement.univariate(ctx, coeffs + [rng.randrange(1, p)], j)
+            rows.append([diagonal if g == i else element(V, rng.randrange(ctx.modulus)) if g > i else zero for g in range(s)])
+        return rows
+
+    cut = rng.randrange(1, k) if k > 1 and rng.random() < 0.4 else k
+    relations, offset = [], 0
+    for s, mu in ((cut, rng.choice([rng.randrange(1, N), N - 1])), (k - cut, 0)):
+        if not s:
+            continue
+        kind = rng.choice(["unit", "annihilated", "generic"])
+        V = rng.sample(range(d), rng.randrange(1, d + 1))
+        rows = block_rows(kind, s, V)
+        relations += [(zero,) * offset + tuple(x.scale(p**mu) for x in row) + (zero,) * (k - offset - s) for row in rows]
+        offset += s
+    rng.shuffle(relations)
+    return ModulePresentation(ctx, k, tuple(relations))
+
+
+class TestContent:
+    def test_matches_monomial_oracle(self):
+        # seeded p^mu A: the divisors of A's coinvariants, on whatever
+        # basis A takes, shifted by mu, equal the SNF of the full
+        # monomial matrix of p^mu A
+        rng = random.Random(79)
+        seen = dict.fromkeys(["unit", "reduced", "monomial", "copies", "spill", "beside_mu_0"], 0)
+        for case in range(100):
+            d, k, p = rng.choice([1, 2, 3, 3]), rng.randrange(1, 4), rng.choice([3, 5])
+            n = rng.randrange(0, 4 if d == 1 else 3)
+            while k * p ** (n * d) > 250:
+                n -= 1
+            M = content_module(rng, d, k, p, rng.randrange(2, 9))
+            ctx = M.context
+            mus = [mu for S, mu, _, _ in M._parts if S.relations]
+            seen["beside_mu_0"] += 0 in mus and max(mus) > 0
+            for S, mu, ann, used in M._parts:
+                if not mu:
+                    continue
+                reduced = ann is not None and len(ann[1]) <= p**n
+                seen["unit"] += reduced and len(ann[1]) == 1
+                seen["reduced"] += reduced and len(ann[1]) > 1
+                seen["monomial"] += not reduced
+                seen["copies"] += n > 0 and len(used | ({ann[0]} if reduced else set())) < d
+                seen["spill"] += any(e + mu >= ctx.N for e in coinvariants(S, n).torsion_exponents)
+            want = reference_snf(reference_relation_matrix(M, n), ctx.p, ctx.N)
+            assert coinvariants(M, n) == want, (case, d, k, p, n, M.relations)
+        assert min(seen.values()) >= 8, seen
+
+    def test_closed_form_on_one_column(self, monkeypatch, p3):
+        # Lambda/(p^2 (T - p)), N = 16: p^2 times Lambda/(T - p), whose
+        # coinvariants are Z/p^(n+1) on one column; the 3^n - 1 unit
+        # divisors become p^2, where the monomial basis has 3^n columns
+        shapes = []
+        real = iwatower.modules.snf
+
+        def recording(matrix, p, N):
+            shapes.append(matrix.shape)
+            return real(matrix, p, N)
+
+        monkeypatch.setattr(iwatower.modules, "snf", recording)
+        ctx = PrecisionContext(p3, 16, 1, 30)
+        M = cyclic_module(ctx, [-27, 9])
+        for n in range(10):
+            shape = coinvariants(M, n)
+            assert shape.torsion_exponents == (2,) * (3**n - 1) + (n + 3,), n
+            assert shape.free_rank_at_precision == 0
+        assert shapes and max(cols for _, cols in shapes) == 1, shapes
 
 
 class TestTower:
