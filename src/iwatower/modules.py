@@ -18,9 +18,7 @@ both built from these rows.  The Smith normal form eliminates one p-adic
 valuation layer at a time (Cohen, GTM 138, section 2.4) on sparse dict
 rows of Python ints mod p^N, never divided: each pass pivots at the
 least row content p^e, on the rows of that content, fewest nonzeros
-first to limit fill-in (see snf).  The int64 cap
-p^N <= floor(sqrt(2^63 - 1)) is checked by snf at entry for every input
-and by the assembly.
+first to limit fill-in (see snf).
 """
 
 from __future__ import annotations
@@ -41,24 +39,6 @@ DEFAULT_DIMENSION_BOUND = 20000
 #: torsion exponents > N - guard are flagged as indistinguishable from
 #: free at precision N (tower needs guard >= 2: exponents are below N).
 DEFAULT_GUARD = 2
-
-# floor(sqrt(2^63 - 1)), the stated precision limit: p^N <= this cap
-# keeps (p^N - 1)^2 + p^N <= 2^63 - 1, a residue plus the product of two
-# residues.  snf and the assembly check it, though both use Python ints.
-_INT64_MODULUS_CAP = 3_037_000_499
-
-
-def _int64_modulus(p: int, N: int) -> int:
-    """p^N, or ValueError when it is above _INT64_MODULUS_CAP."""
-    m = p ** N
-    if m > _INT64_MODULUS_CAP:
-        n_max = max(k for k in range(64) if p ** k <= _INT64_MODULUS_CAP)
-        raise ValueError(
-            f"p^N = {p}^{N} exceeds the int64 cap {_INT64_MODULUS_CAP}"
-            f" = floor(sqrt(2^63 - 1)); p = {p} allows N <= {n_max}"
-        )
-    return m
-
 
 @dataclass(frozen=True)
 class AbelianShape:
@@ -193,20 +173,13 @@ def snf(matrix, p: Prime, N: int) -> AbelianShape:
     structured Gaussian elimination, after LaMacchia and Odlyzko).  The
     coinvariants hand their rows over as built; an array or a list of
     lists is read mod p^N, exactly for entries of any size, into the
-    same rows.  p^N is checked against _INT64_MODULUS_CAP at entry for
-    every input.
+    same rows.
     """
     q = p.p
-    m = _int64_modulus(q, N)
+    m = q ** N
     if not isinstance(matrix, _SparseRows):
-        A = np.asarray(matrix)
-        if A.dtype != np.int64:
-            # numpy reads a Python int beyond int64 as object, uint64 or float64
-            A = (np.asarray(matrix, dtype=object) % m).astype(np.int64)
-        A = np.atleast_2d(A) % m
-        rows = [{} for _ in range(A.shape[0])]
-        for (i, j), v in zip(np.argwhere(A).tolist(), A[A != 0].tolist()):
-            rows[i][j] = v
+        A = np.atleast_2d(np.asarray(matrix, dtype=object))
+        rows = [{j: y for j, x in enumerate(row) if (y := int(x) % m)} for row in A.tolist()]
         matrix = _SparseRows(rows, A.shape)
     cols = matrix.shape[1]
     live = {i: row for i, row in enumerate(matrix.rows) if row}
@@ -283,8 +256,7 @@ def _level_terms(M: ModulePresentation, moduli: dict):
     outside `moduli`, and cells the nonzeros of c*T^(a+e) reduced as
     (column, coefficient mod p^N) pairs.  Each variable's table of
     reduced powers ends at the largest exponent the relations use."""
-    ctx = M.context
-    m = _int64_modulus(ctx.p.p, ctx.N)
+    ctx, m = M.context, M.context.modulus
     keep = [j for j in range(ctx.d) if j not in moduli]
     degrees = [len(h) - 1 for h in moduli.values()]
     b = prod(degrees)
@@ -409,7 +381,7 @@ def coinvariants(
         t, f = (), k * b
         if S.relations and b:
             if h is not None:  # level rows w_n(T_j) e_g; w_n mod h is row 0 of w_n(C_h)
-                m = _int64_modulus(p, N)
+                m = ctx.modulus
                 x = np.eye(len(h) - 1, dtype=object)  # I + C_h: row a is T^(a+1) mod h
                 for a, cells in enumerate(_reduced_powers(h, m, len(h) - 1, 1)[1:]):
                     for c, y in cells:

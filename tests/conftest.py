@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 import pytest
@@ -56,18 +56,21 @@ def split_module(ctx, mu, root_units):
     return ModulePresentation(ctx, 1, ((f,),))
 
 
-def _valuations(sub, p, N):
-    vals = np.full(sub.shape, N, dtype=np.int64)
-    t = sub.copy()
-    active = t != 0
-    cur = 0
-    while active.any() and cur < N:
-        nondiv = active & (t % p != 0)
-        vals[nondiv] = cur
-        active &= ~nondiv
-        t[active] //= p
-        cur += 1
-    return vals
+#: floor(sqrt(2^63 - 1)): the int64 oracles below hold a residue plus
+#: the product of two residues, (p^N - 1)^2 + p^N <= 2^63 - 1, only for
+#: p^N up to this edge.  Above it they would wrap silently, so they raise.
+INT64_ORACLE_EDGE = isqrt(2**63 - 1)
+
+
+def _int64_modulus(p, N):
+    """p^N, or ValueError when an int64 oracle cannot work mod p^N."""
+    m = p ** N
+    if m > INT64_ORACLE_EDGE:
+        raise ValueError(
+            f"p^N = {p}^{N} is above {INT64_ORACLE_EDGE} = floor(sqrt(2^63 - 1)),"
+            " where this int64 oracle would wrap; compare with an exact oracle"
+        )
+    return m
 
 
 def reference_snf(matrix, p, N):
@@ -75,7 +78,7 @@ def reference_snf(matrix, p, N):
     minimal p-valuation of the whole remaining block (first occurrence
     in row-major order) with a full rank-1 update below each pivot."""
     q = p.p
-    m = q ** N
+    m = _int64_modulus(q, N)
     A = np.atleast_2d(np.asarray(matrix, dtype=np.int64)) % m
     if A.size == 0:
         ncols = A.shape[1] if A.ndim == 2 else 0
@@ -86,11 +89,12 @@ def reference_snf(matrix, p, N):
     top = min(rows, cols)
     while r < top:
         sub = A[r:, r:]
-        vals = _valuations(sub, q, N)
-        e = int(vals.min())
+        # the least valuation e is the least e with an entry not divisible
+        # by p^(e+1), and the first such entry has valuation e
+        e = next((e for e in range(N) if (sub % q ** (e + 1)).any()), N)
         if e >= N:
             break
-        i, j = map(int, np.argwhere(vals == e)[0])
+        i, j = map(int, np.argwhere(sub % q ** (e + 1))[0])
         if i:
             A[[r, r + i], :] = A[[r + i, r], :]
         if j:
@@ -116,7 +120,7 @@ def _euclidean_reduction_table(p, N, n, max_extra):
     """red[e] = T^e reduced modulo (1+T)^{p^n} - 1 by Euclidean division,
     for e < p^n + max_extra."""
     q = p ** n
-    m = p ** N
+    m = _int64_modulus(p, N)
     size = q + max_extra
     red = np.zeros((size, q), dtype=np.int64)
     for e in range(min(q, size)):
@@ -137,7 +141,7 @@ def reference_relation_matrix(M, n):
     monomials, one multiplier at a time."""
     ctx = M.context
     p, N, d = ctx.p.p, ctx.N, ctx.d
-    m = p ** N
+    m = _int64_modulus(p, N)
     q = p ** n
     block = q ** d
     max_deg = [0] * d
@@ -219,13 +223,23 @@ def reference_all_subgroups(G):
 
 
 def reference_quotient_shape(M, multipliers):
-    """Test oracle for `FiniteGroupRingModule.shape_of`: the abelian
-    rows of the quotient on the basis (generator, group element), fed to
-    `snf` as they are.  Base rows are each relation multiplied on the left
-    by every group element; difference rows are (s - 1) * t * e_j for s
-    in a greedy generating set of the subgroup the multipliers generate,
-    every t in G and every generator j.  They span every (w - 1) * t * e_j
-    with w in that subgroup, as (ab - 1)t = (a - 1)(bt) + (b - 1)t and
+    """Test oracle for `FiniteGroupRingModule.shape_of`: the rows of
+    reference_quotient_rows fed to `snf` as they are."""
+    rows = reference_quotient_rows(M, multipliers)
+    if not rows:
+        return AbelianShape((), M.generators * M.group.order, M.N)
+    return snf(rows, M.p, M.N)
+
+
+def reference_quotient_rows(M, multipliers):
+    """The abelian relation rows of the quotient of
+    `FiniteGroupRingModule.shape_of` on the basis (generator, group
+    element), integers as given.  Base rows are each relation multiplied
+    on the left by every group element; difference rows are
+    (s - 1) * t * e_j for s in a greedy generating set of the subgroup the
+    multipliers generate, every t in G and every generator j.  They span
+    every (w - 1) * t * e_j with w in that subgroup, as
+    (ab - 1)t = (a - 1)(bt) + (b - 1)t and
     (a^-1 - 1)t = -(a - 1)(a^-1 t)."""
     G = M.group
     width = M.generators * G.order
@@ -249,9 +263,7 @@ def reference_quotient_shape(M, multipliers):
                 row[j * G.order + G.mul(s, t)] += 1
                 row[j * G.order + t] -= 1
                 rows.append(row)
-    if not rows:
-        return AbelianShape((), width, M.N)
-    return snf(rows, M.p, M.N)
+    return rows
 
 
 def reference_is_associative(table):

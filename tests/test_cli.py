@@ -50,6 +50,14 @@ class TestTower:
         torsions = [int(l.split("\t")[1]) for l in lines[1:]]
         assert torsions == [1, 2, 3, 4]
 
+    def test_any_precision(self, tmp_path, capsys):
+        # 7^40 is far beyond int64: Lambda/(T - 7) has log torsion n + 1
+        doc = MODULE_DOC.replace("p: 3", "p: 7").replace("N: 12", "N: 40").replace("T1 - p", "T1 - 7")
+        path = tmp_path / "mod.txt"
+        path.write_text(doc)
+        assert main(["tower", str(path), "--n-max", "30"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [f"{n}\t{n + 1}\t0\t{n}\t-" for n in range(31)]
+
     def test_free_module(self, tmp_path):
         doc = MODULE_DOC.replace("relation: T1 - p\n", "")
         path = tmp_path / "free.txt"

@@ -22,12 +22,14 @@ from iwatower import (
     quotient_coinvariant_check,
     semidirect_c3_c9,
 )
+from iwatower.selftest import _oracle_shape_exponents as oracle_exponents
 
 from conftest import (
     reference_all_subgroups,
     reference_closure,
     reference_conjugates,
     reference_is_associative,
+    reference_quotient_rows,
     reference_quotient_shape,
 )
 
@@ -431,6 +433,33 @@ class TestShapeOf:
                     )
                     compared += 1
         assert compared == 600
+
+    def test_any_precision(self):
+        # p^N = 3^25 is beyond the int64 oracles.  A relation c a + (p^v - c) b
+        # has augmentation p^v, 1 <= v <= N, so its quotients are not 0;
+        # c is near p^N or of any valuation.  Checked against the integer
+        # Smith form too.
+        rng = random.Random(25)
+        N = 25
+        m = 3**N
+        compared = 0
+        for name in ("C9", "C3xC3", "C9:C3", "Heis3"):
+            G = CORPUS[name]
+            subgroups = G.all_subgroups()
+            for _ in range(2):
+                relations = []
+                for _ in range(rng.randint(1, 2)):
+                    a, b = rng.sample(range(G.order), 2)
+                    c = rng.choice([m - rng.randrange(1, 100), rng.randrange(m) * 3 ** rng.randrange(N)])
+                    relations.append(({a: c, b: 3 ** rng.randrange(1, N + 1) - c},))
+                M = FiniteGroupRingModule(G, Prime(3), N, relations=tuple(relations))
+                multipliers = rng.choice(subgroups)
+                shape = M.shape_of(multipliers)
+                assert shape == reference_quotient_shape(M, multipliers), (name, relations, sorted(multipliers))
+                exps = sorted([0] * G.order + list(shape.torsion_exponents) + [N] * shape.free_rank_at_precision)
+                assert exps[-G.order:] == oracle_exponents(reference_quotient_rows(M, multipliers), 3, N)
+                compared += 1
+        assert compared == 8
 
     def test_coefficients_beyond_int64(self):
         # a coefficient is read mod p^N, whatever its size

@@ -11,6 +11,7 @@ import pytest
 
 import iwatower
 from iwatower import (
+    AbelianShape,
     DimensionOverflow,
     PrecisionExhausted,
     Prime,
@@ -27,7 +28,9 @@ from iwatower.modules import _annihilator, _relation_rows, _summands
 from iwatower.series import omega_int_coeffs
 from iwatower.selftest import _oracle_shape_exponents as oracle_exponents
 
-from conftest import cyclic_module, poly, reference_relation_matrix, reference_snf, split_module
+from conftest import (
+    _euclidean_reduction_table, cyclic_module, poly, reference_relation_matrix, reference_snf, split_module,
+)
 
 
 SNF_KINDS = (
@@ -49,16 +52,17 @@ def band_over_block(rng, p, N, near=False):
     other columns.  Layer 0 pivots the band and clears the multiples;
     the cleared rows leave at its end, and the block is eliminated from
     layer 1 on.  With `near` every entry is within 31 p of p^N and each
-    multiple is the row itself."""
+    multiple is the row itself.  Entries are Python ints, so p^N may be
+    of any size when `near` is set."""
     m, k = p**N, 8
     def unit():
         return m - p * int(rng.integers(1, 30)) - 1 if near else int(rng.integers(1, m // p)) * p + 1
-    band = np.zeros((k, k + 10), dtype=np.int64)
+    band = np.zeros((k, k + 10), dtype=object)
     for i in range(k):
         band[i, i:min(i + 2, k)] = [unit() for _ in range(min(2, k - i))]
     twins = band if near else band * np.array([[unit()] for _ in range(k)]) % m
-    block = np.zeros((10, k + 10), dtype=np.int64)
-    block[:, k:] = p * (m // p - rng.integers(1, 30, (10, 10)) if near else rng.integers(1, m // p, (10, 10)))
+    block = np.zeros((10, k + 10), dtype=object)
+    block[:, k:] = p * (m // p - rng.integers(1, 30, (10, 10)).astype(object) if near else rng.integers(1, m // p, (10, 10)))
     return np.vstack([np.stack([band, twins], axis=1).reshape(2 * k, -1), block])
 
 
@@ -196,8 +200,8 @@ class TestSnf:
         "x", [2**70, -(2**70), 2**63, 2 * 3**60 + 9], ids=["2^70", "-2^70", "2^63", "2*3^60+9"]
     )
     def test_entries_beyond_int64(self, x):
-        # Python ints that numpy would read as object, uint64 or float64
-        # give the shape of their residue mod p^N
+        # entries of any size, inside int64 or not, give the shape of
+        # their residue mod p^N
         p = Prime(3)
         assert snf([[x, 1]], p, 4) == snf([[x % 3**4, 1]], p, 4)
         assert snf([[x, 3], [0, 9]], p, 4) == snf([[x % 3**4, 3], [0, 9]], p, 4)
@@ -223,29 +227,42 @@ class TestSnf:
                 modified[i] = (modified[i] + int(rng.integers(1, p.p**N)) * modified[j]) % p.p**N
                 assert snf(modified, p, N) == base
 
-    @pytest.mark.parametrize("p, n_max", [(3, 19), (5, 13), (7, 11)])
-    def test_int64_modulus_cap(self, p, n_max):
-        # at the cap: residues near p^N, and U diag(1, p^3, p^(N-1), 0) V
-        # with big-integer U, V, so the updates see products near 2^63
-        m = p**n_max
+    @pytest.mark.parametrize(
+        "p, N", [(3, 20), (5, 14), (7, 12), (3, 40), (5, 40), (7, 40)],
+        ids=["3-20", "5-14", "7-12", "3-40", "5-40", "7-40"],
+    )
+    def test_any_precision(self, p, N):
+        # beyond floor(sqrt(2^63 - 1)), the edge of the int64 oracles (one
+        # above it, and N = 40): residues near p^N, and
+        # U diag(1, p^3, p^(N-1), 0) V with big-integer U, V
+        m = p**N
         rng = random.Random(p)
         near = [[m - rng.randrange(1, 100) for _ in range(4)] for _ in range(4)]
         U, V = ([[rng.randrange(m) for _ in range(4)] for _ in range(4)] for _ in range(2))
-        diag = [1, p**3, p ** (n_max - 1), 0]
+        diag = [1, p**3, p ** (N - 1), 0]
         UDV = [
             [sum(U[i][k] * diag[k] * V[k][j] for k in range(4)) % m for j in range(4)]
             for i in range(4)
         ]
         for matrix in (near, UDV):
-            shape = snf(matrix, Prime(p), n_max)
-            assert full_profile(shape, 4) == oracle_exponents(matrix, p, n_max)
+            shape = snf(matrix, Prime(p), N)
+            assert full_profile(shape, 4) == oracle_exponents(matrix, p, N)
         # a sparse band over a p-divisible block, every entry near p^N:
         # updates in two layers on the dict rows
-        banded = band_over_block(np.random.default_rng(p), p, n_max, near=True)
-        shape = snf(banded, Prime(p), n_max)
-        assert full_profile(shape, banded.shape[1]) == oracle_exponents(banded.tolist(), p, n_max)
-        with pytest.raises(ValueError, match=rf"3037000499.*N <= {n_max}"):
-            snf(near, Prime(p), n_max + 1)
+        banded = band_over_block(np.random.default_rng(p), p, N, near=True)
+        shape = snf(banded, Prime(p), N)
+        assert full_profile(shape, banded.shape[1]) == oracle_exponents(banded.tolist(), p, N)
+
+    def test_int64_oracles_stop_at_their_edge(self, p3):
+        # the int64 test oracles raise rather than wrap beyond the edge
+        ctx = PrecisionContext(p3, 20, 1, 4)
+        with pytest.raises(ValueError, match=r"3\^20 is above 3037000499"):
+            reference_snf([[1]], p3, 20)
+        with pytest.raises(ValueError, match=r"3\^20 is above 3037000499"):
+            reference_relation_matrix(cyclic_module(ctx, [-3, 1]), 1)
+        with pytest.raises(ValueError, match=r"3\^20 is above 3037000499"):
+            _euclidean_reduction_table(3, 20, 1, 2)
+        assert reference_snf([[3]], p3, 19) == AbelianShape((1,), 0, 19)
 
     def test_log_mod_pn(self):
         shape = snf([[3, 0], [0, 27]], Prime(3), 6)
@@ -858,18 +875,18 @@ class TestPartialCoinvariants:
         with pytest.raises(DimensionOverflow, match="18 exceeds bound 10"):
             partial_coinvariants(M, 2, [0], dimension_bound=10)
 
-    def test_int64_modulus_cap(self, p3):
-        # 3^20 is above the int64 cap: it raises rather than overflow;
-        # 3^19 is at the cap and agrees with N = 12 mod 3^12
+    def test_any_precision(self, p3):
+        # N = 20 is beyond floor(sqrt(2^63 - 1)), the edge of the int64
+        # oracles, and N = 40 far beyond: both agree with N = 12 mod 3^12
         def reduced(N):
             ctx = PrecisionContext(p3, N, 2, 30)
             f = SeriesElement(ctx, {(2, 1): 5, (1, 0): 1, (0, 0): -3 * 7})
             return partial_coinvariants(ModulePresentation(ctx, 1, ((f,),)), 3, [0])
 
-        with pytest.raises(ValueError, match=r"3037000499.*N <= 19"):
-            reduced(20)
-        low, high = reduced(12), reduced(19)
-        assert high.generators == low.generators == 27
-        for row_low, row_high in zip(low.relations, high.relations, strict=True):
-            for lo, hi in zip(row_low, row_high, strict=True):
-                assert SeriesElement(low.context, hi.coefficients) == lo
+        low = reduced(12)
+        for N in (20, 40):
+            high = reduced(N)
+            assert high.generators == low.generators == 27
+            for row_low, row_high in zip(low.relations, high.relations, strict=True):
+                for lo, hi in zip(row_low, row_high, strict=True):
+                    assert SeriesElement(low.context, hi.coefficients) == lo
