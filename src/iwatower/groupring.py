@@ -9,7 +9,9 @@ orbit, `conjugates` conjugates only by the group's generating set, and
 `all_subgroups` closes each subgroup with one element per right coset.
 A `FiniteGroup` is immutable after construction, so it memoises
 `closure` and `conjugates`: one entry per distinct argument set, freed
-with the group, and one per subgroup that `all_subgroups` finds.
+with the group, and one per subgroup that `all_subgroups` finds.  Each
+constructor writes its table as one comprehension over the tuples of
+coordinates, numbered in lexicographic order.
 
 A module is (Z/p^N)[G]^k modulo the left submodule its relations
 generate.  Its quotient by every (w - 1)x with w in a subgroup K is
@@ -22,8 +24,6 @@ quotient orders are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import GroupTooLarge, HypothesisViolated
 from .modules import AbelianShape, snf
@@ -175,37 +175,33 @@ class FiniteGroup:
 # ------------------------------------------------------------------
 
 
-def _group(name: str, radices, mul) -> FiniteGroup:
-    """The group on the tuples 0 <= x_i < radices[i], numbered in
-    lexicographic order, whose product xy has coordinates mul(x, y)
-    taken modulo the radices: x and y are sequences of coordinate arrays
-    that broadcast x along the rows of the table and y along its columns."""
-    coords = np.indices(radices).reshape(len(radices), -1)
-    xy = mul(coords[:, :, None], coords[:, None, :])
-    return FiniteGroup(np.ravel_multi_index(xy, radices, mode="wrap").tolist(), name)
-
-
 def cyclic_group(k: int) -> FiniteGroup:
-    return _group(f"C{k}", (k,), lambda a, b: (a[0] + b[0],))
+    return FiniteGroup([[*range(a, k), *range(a)] for a in range(k)], f"C{k}")
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
-    g, h = np.array(G.table), np.array(H.table)
-    rule = lambda a, b: (g[a[0], b[0]], h[a[1], b[1]])
-    return _group(f"{G.name}x{H.name}", (G.order, H.order), rule)
+    """Elements (g, h), numbered g |H| + h."""
+    table = [[x * H.order + y for x in G.table[g] for y in H.table[h]] for g in range(G.order) for h in range(H.order)]
+    return FiniteGroup(table, f"{G.name}x{H.name}")
 
 
 def semidirect_c3_c9() -> FiniteGroup:
     """C9 acted on by C3 through multiplication by 4 (an order-3
-    automorphism of Z/9); elements (x mod 9, a mod 3)."""
-    return _group("C9:C3", (9, 3), lambda a, b: (a[0] + b[0] * 4 ** a[1], a[1] + b[1]))
+    automorphism of Z/9); elements (x mod 9, a mod 3), numbered 3x + a."""
+    r9, r3 = range(9), range(3)
+    table = [[(x + y * 4**a) % 9 * 3 + (a + b) % 3 for y in r9 for b in r3] for x in r9 for a in r3]
+    return FiniteGroup(table, "C9:C3")
 
 
 def heisenberg(p: int = 3) -> FiniteGroup:
-    """Upper unitriangular 3x3 matrices over Z/p; elements (a, b, c)
-    with (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b')."""
-    rule = lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
-    return _group(f"Heis{p}", (p, p, p), rule)
+    """Upper unitriangular 3x3 matrices over Z/p; elements (a, b, c),
+    numbered (ap + b)p + c, with (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b')."""
+    r = range(p)
+    table = [
+        [((a + x) % p * p + (b + y) % p) * p + (c + z + a * y) % p for x in r for y in r for z in r]
+        for a in r for b in r for c in r
+    ]
+    return FiniteGroup(table, f"Heis{p}")
 
 
 def corpus_groups(p: int = 3):

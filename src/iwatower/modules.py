@@ -25,9 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from math import gcd, prod
-
-import numpy as np
 
 from .errors import ContextMismatch, DimensionOverflow, NotSquare, PrecisionExhausted
 from .padic import Prime, ord_p
@@ -171,16 +170,20 @@ def snf(matrix, p: Prime, N: int) -> AbelianShape:
     that finds the rows hit by a pivot, so a pivot costs the nonzeros it
     touches rather than a pass over the block (the sparse phase of
     structured Gaussian elimination, after LaMacchia and Odlyzko).  The
-    coinvariants hand their rows over as built; an array or a list of
-    lists is read mod p^N, exactly for entries of any size, into the
-    same rows.
+    coinvariants hand their rows over as built.  Other input (a list of
+    lists, a 2-D array) is read mod p^N, exactly for entries of any
+    size, into the same rows; its rows must be sequences of one length
+    (ValueError), and with none the column count is shape[-1] or 0.
     """
     q = p.p
     m = q ** N
     if not isinstance(matrix, _SparseRows):
-        A = np.atleast_2d(np.asarray(matrix, dtype=object))
-        rows = [{j: y for j, x in enumerate(row) if (y := int(x) % m)} for row in A.tolist()]
-        matrix = _SparseRows(rows, A.shape)
+        rows = list(matrix)
+        cols = len(rows[0]) if rows and hasattr(rows[0], "__len__") else getattr(matrix, "shape", (0,))[-1]
+        if bad := [i for i, row in enumerate(rows) if not hasattr(row, "__len__") or len(row) != cols]:
+            raise ValueError(f"snf needs rows that are sequences of one length: row {bad[0]} is {rows[bad[0]]!r}")
+        rows = [{j: y for j, x in enumerate(row) if (y := int(x) % m)} for row in rows]
+        matrix = _SparseRows(rows, (len(rows), cols))
     cols = matrix.shape[1]
     live = {i: row for i, row in enumerate(matrix.rows) if row}
     index = [set() for _ in range(cols)]
@@ -251,7 +254,7 @@ def _level_terms(M: ModulePresentation, moduli: dict):
     v of `moduli`.  Row (i, a) of the level relations is relation i
     times the multiplier T^a, and column (g, b) is generator g times the
     monomial T^b, with a_v and b_v below deg moduli[v], flattened in
-    np.ndindex order.  For each row in order and each term c*T^e of its
+    lexicographic order.  For each row in order and each term c*T^e of its
     entries, yields (row, kept, cells): kept holds the exponents of e
     outside `moduli`, and cells the nonzeros of c*T^(a+e) reduced as
     (column, coefficient mod p^N) pairs.  Each variable's table of
@@ -265,7 +268,7 @@ def _level_terms(M: ModulePresentation, moduli: dict):
     for (v, h), q in zip(moduli.items(), degrees):
         stride //= q
         tables.append(_reduced_powers(h, m, q - 1 + tops[v], stride))
-    multipliers = list(np.ndindex(*degrees))
+    multipliers = list(product(*map(range, degrees)))
     for i, rel in enumerate(M.relations):
         terms = [
             (g * b, [exps[v] for v in moduli], tuple(exps[j] for j in keep), c)
@@ -381,14 +384,14 @@ def coinvariants(
         t, f = (), k * b
         if S.relations and b:
             if h is not None:  # level rows w_n(T_j) e_g; w_n mod h is row 0 of w_n(C_h)
-                m = ctx.modulus
-                x = np.eye(len(h) - 1, dtype=object)  # I + C_h: row a is T^(a+1) mod h
-                for a, cells in enumerate(_reduced_powers(h, m, len(h) - 1, 1)[1:]):
-                    for c, y in cells:
-                        x[a, c] += y
-                for _ in range(n):
-                    x = np.linalg.matrix_power(x, p) % m
-                w = SeriesElement.univariate(ctx, [x[0, 0] - 1, *x[0, 1:]], j)
+                m, q = ctx.modulus, len(h) - 1
+                red = _reduced_powers(h, m, q, 1)  # x = I + C_h: row a is T^a + T^(a+1) mod h
+                x = [[int(a == c) + dict(red[a + 1]).get(c, 0) for c in range(q)] for a in range(q)]
+                for _ in range(n):  # x = x^p mod p^N: p - 1 products with the columns of x
+                    cols = list(zip(*x))
+                    for _ in range(p - 1):
+                        x = [[sum(u * v for u, v in zip(row, col)) % m for col in cols] for row in x]
+                w = SeriesElement.univariate(ctx, [x[0][0] - 1, *x[0][1:]], j)
                 S = ModulePresentation(ctx, k, S.relations + tuple(
                     tuple(w if g == i else SeriesElement.zero(ctx) for g in range(k)) for i in range(k)
                 ))

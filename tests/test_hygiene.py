@@ -3,8 +3,8 @@ the package imports is used in that module, every private top-level name
 is read somewhere in the package, the package has no `assert`
 statement, which `python -O` strips, and no `functools.cache` or
 `functools.lru_cache`, whose entries outlive the objects they describe:
-a cache lives on its object.  Importing the package does not load sympy,
-which only the two oracles use."""
+a cache lives on its object.  Importing the package loads neither sympy,
+which only the two oracles use, nor numpy, which it does not use."""
 
 import ast
 import os
@@ -189,9 +189,12 @@ def test_scan_flags_a_functools_cache():
 @pytest.mark.parametrize("module", ["iwatower", "iwatower.cli"])
 def test_import_leaves_sympy_unloaded(module):
     # the resultant oracle and the selftest's Smith-form oracle import
-    # sympy when called; nothing else needs it
+    # sympy when called; nothing else needs it, and nothing needs numpy
     proc = subprocess.run(
-        [sys.executable, "-c", f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"],
+        [
+            sys.executable, "-c",
+            f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] in ('sympy', 'numpy')))",
+        ],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
     )

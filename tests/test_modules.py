@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -205,6 +206,13 @@ class TestSnf:
         p = Prime(3)
         assert snf([[x, 1]], p, 4) == snf([[x % 3**4, 1]], p, 4)
         assert snf([[x, 3], [0, 9]], p, 4) == snf([[x % 3**4, 3], [0, 9]], p, 4)
+
+    def test_ragged_rows_raise(self):
+        # rows that are not sequences of one length, and a 1-D input,
+        # name the first row that breaks the rule
+        for A, row in (([[1, 2], [3]], "row 1 is [3]"), ([[3], [0, 9]], "row 1 is [0, 9]"), ([3, 9], "row 0 is 3")):
+            with pytest.raises(ValueError, match=re.escape(f"sequences of one length: {row}")):
+                snf(A, Prime(3), 4)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(23)
@@ -414,6 +422,27 @@ class TestReducedCoinvariants:
             want = reference_snf(reference_relation_matrix(M, n), ctx.p, ctx.N)
             assert coinvariants(M, n) == want, (case, d, k, p, n, degrees)
         assert reduced >= 50 and empty >= 6 and high >= 35, (reduced, empty, high)
+
+    def test_level_rows_at_p5_and_p7(self):
+        # the level rows w_n(C_h) come from n successive p-th powers of
+        # I + C_h, which test_matches_monomial_oracle runs at p = 3 and 5
+        # only: here deg h >= 2 at p = 5 and 7, N <= 11 so that the
+        # monomial oracle stays within int64
+        rng = random.Random(63)
+        sevens = 0
+        for case in range(36):
+            d, k, p = rng.randrange(1, 3), rng.randrange(1, 3), rng.choice([5, 7])
+            n = rng.randrange(1, 3) if d == 1 else 1
+            degrees = [rng.randrange(1, 3) for _ in range(k)]
+            degrees[0] += sum(degrees) < 2
+            M = annihilated_module(rng, d, k, p, rng.randrange(2, 12), degrees)
+            j, h = _annihilator(M)
+            assert 2 <= len(h) - 1 == sum(degrees) < p**n
+            sevens += p == 7
+            ctx = M.context
+            want = reference_snf(reference_relation_matrix(M, n), ctx.p, ctx.N)
+            assert coinvariants(M, n) == want, (case, d, k, p, n, degrees)
+        assert sevens >= 12, sevens
 
     def test_truncated_determinant_is_not_used(self, p3):
         # diag(f, f), f = T^2 + T + 1: det = f^2 has degree 4; at D = 3
