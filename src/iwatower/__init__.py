@@ -57,7 +57,6 @@ from .modules import (
     ModulePresentation,
     TowerDatum,
     coinvariants,
-    partial_coinvariants,
     snf,
     torsion_size_resultant_oracle,
     tower,

@@ -13,8 +13,7 @@ in distinct variables, so a monomial reduces one variable at a time (no
 Groebner machinery).  A relation row holds only nonzeros: below the
 degree of its modulus a power of T_j is itself, and only the powers at
 or beyond it come from a table of reduced powers, as long as the largest
-exponent the summand uses.  The full and the partial coinvariants are
-both built from these rows.  The Smith normal form eliminates one p-adic
+exponent the summand uses.  The Smith normal form eliminates one p-adic
 valuation layer at a time (Cohen, GTM 138, section 2.4) on sparse dict
 rows of Python ints mod p^N, never divided: each pass pivots at the
 least row content p^e, on the rows of that content, fewest nonzeros
@@ -24,6 +23,7 @@ first to limit fill-in (see snf).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd, prod
@@ -249,18 +249,17 @@ def _reduced_powers(modulus, m: int, top: int, stride: int) -> list:
     return red
 
 
-def _level_terms(M: ModulePresentation, moduli: dict):
-    """Reduce the terms of M modulo the monic moduli[v] in each variable
-    v of `moduli`.  Row (i, a) of the level relations is relation i
-    times the multiplier T^a, and column (g, b) is generator g times the
-    monomial T^b, with a_v and b_v below deg moduli[v], flattened in
-    lexicographic order.  For each row in order and each term c*T^e of its
-    entries, yields (row, kept, cells): kept holds the exponents of e
-    outside `moduli`, and cells the nonzeros of c*T^(a+e) reduced as
-    (column, coefficient mod p^N) pairs.  Each variable's table of
+def _relation_rows(M: ModulePresentation, moduli: dict) -> _SparseRows:
+    """The relation rows of M on the monomials reduced modulo the monic
+    moduli[v] in each variable v of `moduli`, which holds every variable
+    the relations use, with the shape of the matrix they stand for.  Row
+    (i, a) is relation i times the multiplier T^a, and column (g, b) is
+    generator g times the monomial T^b, with a_v and b_v below
+    deg moduli[v], flattened in lexicographic order.  Each term c*T^e of
+    relation i adds the nonzeros of c*T^(a+e) reduced to row (i, a), which
+    is reduced mod p^N as soon as it is built.  Each variable's table of
     reduced powers ends at the largest exponent the relations use."""
-    ctx, m = M.context, M.context.modulus
-    keep = [j for j in range(ctx.d) if j not in moduli]
+    m = M.context.modulus
     degrees = [len(h) - 1 for h in moduli.values()]
     b = prod(degrees)
     tops = {v: max((x.degree(v) for row in M.relations for x in row), default=0) for v in moduli}
@@ -269,31 +268,21 @@ def _level_terms(M: ModulePresentation, moduli: dict):
         stride //= q
         tables.append(_reduced_powers(h, m, q - 1 + tops[v], stride))
     multipliers = list(product(*map(range, degrees)))
-    for i, rel in enumerate(M.relations):
+    rows = []
+    for rel in M.relations:
         terms = [
-            (g * b, [exps[v] for v in moduli], tuple(exps[j] for j in keep), c)
+            (g * b, [exps[v] for v in moduli], c)
             for g, x in enumerate(rel) for exps, c in x.coefficients.items()
         ]
-        for r, a in enumerate(multipliers, start=i * b):
-            for base, e, kept, c in terms:
+        for a in multipliers:
+            row = {}
+            for base, e, c in terms:
                 cells = [(base, c)]
                 for red, av, ev in zip(tables, a, e):
                     cells = [(o + s, z) for o, u in cells for s, y in red[av + ev] if (z := u * y % m)]
-                yield r, kept, cells
-
-
-def _relation_rows(M: ModulePresentation, moduli: dict) -> _SparseRows:
-    """The relation rows on the monomials reduced modulo `moduli` (see
-    _level_terms), with the shape of the matrix they stand for."""
-    b = prod(len(h) - 1 for h in moduli.values())
-    m = M.context.modulus
-    rows = [{} for _ in range(len(M.relations) * b)]
-    for r, _, cells in _level_terms(M, moduli):
-        row = rows[r]
-        for c, x in cells:
-            row[c] = row.get(c, 0) + x
-    for i, row in enumerate(rows):  # one row at a time, to free each sum as it goes
-        rows[i] = {c: y for c, x in row.items() if (y := x % m)}
+                for col, x in cells:
+                    row[col] = row.get(col, 0) + x
+            rows.append({col: y for col, x in row.items() if (y := x % m)})
     return _SparseRows(rows, (len(rows), M.generators * b))
 
 
@@ -410,47 +399,6 @@ def coinvariants(
     return AbelianShape(tuple(sorted(torsion)), free, N)
 
 
-def partial_coinvariants(
-    M: ModulePresentation,
-    n: int,
-    variables,
-    dimension_bound: int = DEFAULT_DIMENSION_BOUND,
-) -> ModulePresentation:
-    """Coinvariants in a subset of variables only, at level n: returns a
-    new presentation over the remaining variables, with generators
-    indexed by (old generator, monomial in the eliminated variables).
-
-    Needed for coinvariants along an inner factor of the tower group.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    ctx = M.context
-    d = ctx.d
-    variables = sorted(set(variables))
-    if any(v < 0 or v >= d for v in variables):
-        raise ValueError("variable index out of range")
-    if len(variables) >= d:
-        raise ValueError("use coinvariants() to eliminate all variables")
-    b = ctx.p.p ** (n * len(variables))
-    new_gens = M.generators * b
-    if new_gens > dimension_bound:
-        raise DimensionOverflow(
-            f"generator count {new_gens} exceeds bound {dimension_bound}"
-        )
-    new_ctx = PrecisionContext(ctx.p, ctx.N, d - len(variables), ctx.D)
-    # rows[relation, multiplier][generator, monomial]: kept exponents -> coefficient
-    rows = [[{} for _ in range(new_gens)] for _ in range(len(M.relations) * b)]
-    omega = omega_int_coeffs(ctx.p.p, n)
-    for r, kept, cells in _level_terms(M, dict.fromkeys(variables, omega)):
-        for c, x in cells:
-            coeffs = rows[r][c]
-            coeffs[kept] = coeffs.get(kept, 0) + x
-    new_relations = tuple(
-        tuple(SeriesElement(new_ctx, coeffs) for coeffs in row) for row in rows
-    )
-    return ModulePresentation(new_ctx, new_gens, new_relations)
-
-
 def tower(
     M: ModulePresentation,
     n_max: int,
@@ -496,23 +444,43 @@ def torsion_size_resultant_oracle(f: SeriesElement, n: int) -> int:
     ord_p of the exact integer resultant of the level-n element with
     the canonical lift of f.
 
-    Independent of the SNF path: exact big-integer arithmetic on lifted
-    coefficients.  Raises PrecisionExhausted when the resultant is 0
-    mod p^N (value not determined at this precision)."""
+    Independent of the SNF path: exact rational arithmetic on lifted
+    coefficients (see _resultant).  Raises PrecisionExhausted when the
+    resultant is 0 mod p^N (value not determined at this precision)."""
     ctx = f.context
     if ctx.d != 1:
         raise ValueError("resultant oracle requires d = 1")
     if f.is_zero():
         raise PrecisionExhausted("f is 0 at this precision")
-    import sympy
     p, N = ctx.p.p, ctx.N
-    T = sympy.Symbol("T")
-    fint = sympy.Poly(list(reversed(f.univariate_coeffs())), T)
-    wint = sympy.Poly(list(reversed(omega_int_coeffs(p, n))), T)
     # Res(w, f) = product of f over the roots of the monic w
-    res = int(sympy.resultant(wint, fint))
+    res = _resultant(omega_int_coeffs(p, n), f.univariate_coeffs())
     if res % (p ** N) == 0:
         raise PrecisionExhausted(
             "resultant is 0 mod p^N; torsion size not determined at this precision"
         )
     return ord_p(res, ctx.p)
+
+
+def _resultant(a: list, b: list) -> int:
+    """Res(a, b) of integer polynomials given as coefficient lists,
+    constant term first, with nonzero leading coefficients.  Euclid's
+    algorithm over the rationals: Res(a, b) = (-1)^(deg a deg b)
+    lc(b)^(deg a - deg r) Res(b, r) for r = a mod b, which is 0 when r
+    is 0 and b is not constant, and Res(a, c) = c^(deg a) for a constant
+    c."""
+    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
+    res = Fraction(1)
+    while len(b) > 1:
+        r = a[:]
+        while len(r) >= len(b):  # r = a mod b: cancel the leading term
+            c = r[-1] / b[-1]
+            for i, y in enumerate(b, start=len(r) - len(b)):
+                r[i] -= c * y
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            return 0
+        res *= (-1) ** ((len(a) - 1) * (len(b) - 1)) * b[-1] ** (len(a) - len(r))
+        a, b = b, r
+    return int(res * b[0] ** (len(a) - 1))

@@ -33,27 +33,30 @@ DEFAULT_SEED = 20260314
 
 
 def _oracle_shape_exponents(matrix, p: int, N: int):
-    """Independent cokernel oracle: integer Smith normal form (sympy) of
-    the relation rows stacked with p^N times the identity; the p-adic
-    valuations of the nonzero divisors are the exponent profile."""
-    import sympy.matrices.normalforms
-    rows = [list(r) for r in matrix]
-    cols = len(rows[0])
+    """Independent cokernel oracle, sharing no code with snf: a dense
+    classical Smith form of the rows mod p^N.  Each step pivots on the
+    first entry, in row-major order, of least valuation e in the whole
+    block, clears its column from the other rows, drops its row and
+    column and records e; each column never pivoted adds one exponent N.
+    Returns the sorted list of the `cols` exponents; needs at least one
+    row."""
     m = p ** N
-    stacked = sympy.Matrix(rows + [[m if i == j else 0 for j in range(cols)] for i in range(cols)])
-    d = sympy.matrices.normalforms.smith_normal_form(stacked)
+    rows = [[int(x) % m for x in row] for row in matrix]
+    cols = len(rows[0])
     exps = []
-    for i in range(cols):
-        x = int(d[i, i])
-        if x == 0:
-            raise AssertionError("stacked matrix cannot have zero divisors")
-        e = 0
-        x = abs(x)
-        while x % p == 0:
-            x //= p
-            e += 1
-        exps.append(min(e, N))
-    return sorted(exps)
+    while cells := [
+        (next(e for e in range(N) if x % p ** (e + 1)), i, j)
+        for i, row in enumerate(rows) for j, x in enumerate(row) if x
+    ]:
+        e, i, j = min(cells)
+        pivot = rows.pop(i)
+        inv = pow(pivot[j] // p ** e, -1, m)
+        rows = [
+            [(x - f * y) % m for c, (x, y) in enumerate(zip(row, pivot)) if c != j]
+            for row in rows for f in [row[j] // p ** e * inv]
+        ]
+        exps.append(e)
+    return sorted(exps + [N] * (cols - len(exps)))
 
 
 def _random_series(rng, ctx, max_terms=4):

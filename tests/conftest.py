@@ -3,6 +3,8 @@ from math import comb, isqrt
 
 import numpy as np
 import pytest
+import sympy
+import sympy.matrices.normalforms
 
 from iwatower import (
     AbelianShape,
@@ -114,6 +116,29 @@ def reference_snf(matrix, p, N):
         r += 1
     torsion = tuple(sorted(e for e in exps if e >= 1))
     return AbelianShape(torsion, cols - len(exps), N)
+
+
+def sympy_smith_exponents(matrix, p, N):
+    """Third-party cokernel oracle: sympy's integer Smith normal form of
+    the relation rows stacked with p^N times the identity; the p-adic
+    valuations of the nonzero divisors, capped at N, are the sorted
+    exponent profile of all `cols` columns.  Needs at least one row."""
+    rows = [[int(x) for x in r] for r in matrix]
+    cols = len(rows[0])
+    m = p ** N
+    stacked = sympy.Matrix(rows + [[m if i == j else 0 for j in range(cols)] for i in range(cols)])
+    d = sympy.matrices.normalforms.smith_normal_form(stacked)
+    exps = []
+    for i in range(cols):
+        x = abs(int(d[i, i]))
+        if x == 0:
+            raise AssertionError("stacked matrix cannot have zero divisors")
+        e = 0
+        while x % p == 0:
+            x //= p
+            e += 1
+        exps.append(min(e, N))
+    return sorted(exps)
 
 
 def _euclidean_reduction_table(p, N, n, max_extra):

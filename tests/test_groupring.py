@@ -22,7 +22,7 @@ from iwatower import (
     quotient_coinvariant_check,
     semidirect_c3_c9,
 )
-from iwatower.selftest import _oracle_shape_exponents as oracle_exponents
+from iwatower.selftest import _oracle_shape_exponents
 
 from conftest import (
     reference_all_subgroups,
@@ -31,6 +31,7 @@ from conftest import (
     reference_is_associative,
     reference_quotient_rows,
     reference_quotient_shape,
+    sympy_smith_exponents,
 )
 
 CORPUS = {G.name: G for G, _, _ in corpus_groups(3)}
@@ -457,9 +458,19 @@ class TestShapeOf:
                 shape = M.shape_of(multipliers)
                 assert shape == reference_quotient_shape(M, multipliers), (name, relations, sorted(multipliers))
                 exps = sorted([0] * G.order + list(shape.torsion_exponents) + [N] * shape.free_rank_at_precision)
-                assert exps[-G.order:] == oracle_exponents(reference_quotient_rows(M, multipliers), 3, N)
+                assert exps[-G.order:] == sympy_smith_exponents(reference_quotient_rows(M, multipliers), 3, N)
                 compared += 1
         assert compared == 8
+        # a relation whose 27-column quotients sympy's Smith form does not
+        # finish in 20 s: the selftest's dense Smith form takes them
+        G = CORPUS["C9:C3"]
+        M = FiniteGroupRingModule(G, Prime(3), N, relations=(({0: 56757701514397599, 8: 847288609407, 16: 847288609403},),))
+        order_9 = [U for U in G.all_subgroups() if len(U) == 9]
+        assert len(order_9) == 4
+        for U in order_9:
+            shape = M.shape_of(U)
+            exps = sorted([0] * G.order + list(shape.torsion_exponents) + [N] * shape.free_rank_at_precision)
+            assert exps[-G.order:] == _oracle_shape_exponents(reference_quotient_rows(M, U), 3, N), sorted(U)
 
     def test_coefficients_beyond_int64(self):
         # a coefficient is read mod p^N, whatever its size

@@ -3,8 +3,9 @@ the package imports is used in that module, every private top-level name
 is read somewhere in the package, the package has no `assert`
 statement, which `python -O` strips, and no `functools.cache` or
 `functools.lru_cache`, whose entries outlive the objects they describe:
-a cache lives on its object.  Importing the package loads neither sympy,
-which only the two oracles use, nor numpy, which it does not use."""
+a cache lives on its object.  The package has no runtime dependency: it
+imports only the standard library and itself, so neither importing it
+nor running the selftest's oracles loads sympy or numpy."""
 
 import ast
 import os
@@ -186,17 +187,60 @@ def test_scan_flags_a_functools_cache():
     assert functools_caches(source) == [3, 4, 7]
 
 
-@pytest.mark.parametrize("module", ["iwatower", "iwatower.cli"])
-def test_import_leaves_sympy_unloaded(module):
-    # the resultant oracle and the selftest's Smith-form oracle import
-    # sympy when called; nothing else needs it, and nothing needs numpy
+def outside_imports(source: str) -> list:
+    """Modules that `source` imports, at any depth (function-local ones
+    included), whose top-level package is neither in the standard library
+    nor `iwatower`; relative imports are the package's own."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append((node.lineno, node.module))
+    allowed = sys.stdlib_module_names | {"iwatower"}
+    return sorted(f"line {line}: {name}" for line, name in names if name.split(".")[0] not in allowed)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_outside_imports(path):
+    assert outside_imports(path.read_text()) == []
+
+
+def test_scan_flags_an_outside_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "from . import modules\n"
+        "from iwatower.padic import ord_p\n"
+        "def oracle():\n"
+        "    import sympy.matrices.normalforms\n"
+        "    from fractions import Fraction\n"
+    )
+    assert outside_imports(source) == ["line 2: numpy", "line 6: sympy.matrices.normalforms"]
+
+
+def loaded_third_party(script: str) -> str:
+    """The sorted sympy and numpy modules loaded after `script` runs in
+    a fresh interpreter, as printed there."""
     proc = subprocess.run(
         [
             sys.executable, "-c",
-            f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] in ('sympy', 'numpy')))",
+            f"import os, sys\n{script}\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('sympy', 'numpy')))",
         ],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["iwatower", "iwatower.cli"])
+def test_import_leaves_sympy_unloaded(module):
+    assert loaded_third_party(f"import {module}") == "[]"
+
+
+def test_selftest_leaves_sympy_unloaded():
+    # the selftest runs both oracles, the Smith form and the resultant
+    script = "import iwatower.cli\nassert iwatower.cli.main(['selftest', '--out', os.devnull]) == 0"
+    assert loaded_third_party(script) == "[]"

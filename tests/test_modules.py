@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 
 import iwatower
 from iwatower import (
@@ -20,17 +21,17 @@ from iwatower import (
     ModulePresentation,
     SeriesElement,
     coinvariants,
-    partial_coinvariants,
     snf,
     torsion_size_resultant_oracle,
     tower,
 )
-from iwatower.modules import _annihilator, _relation_rows, _summands
+from iwatower.modules import _annihilator, _relation_rows, _resultant, _summands
 from iwatower.series import omega_int_coeffs
-from iwatower.selftest import _oracle_shape_exponents as oracle_exponents
+from iwatower.selftest import _oracle_shape_exponents
 
 from conftest import (
     _euclidean_reduction_table, cyclic_module, poly, reference_relation_matrix, reference_snf, split_module,
+    sympy_smith_exponents,
 )
 
 
@@ -160,7 +161,7 @@ class TestSnf:
                 [rng.randrange(0, p**N) for _ in range(k)] for _ in range(rows)
             ]
             shape = snf(matrix, Prime(p), N)
-            assert full_profile(shape, k) == oracle_exponents(matrix, p, N)
+            assert full_profile(shape, k) == sympy_smith_exponents(matrix, p, N)
 
     @pytest.mark.parametrize("kind", SNF_KINDS + CONTENT_KINDS)
     def test_matches_reference_kernels(self, kind):
@@ -170,7 +171,14 @@ class TestSnf:
             # the sympy oracle needs a row; no rows and one zero row
             # present the same cokernel
             rows = A if len(A) else np.zeros((1, A.shape[1]), dtype=np.int64)
-            assert full_profile(shape, A.shape[1]) == oracle_exponents(rows.tolist(), p.p, N)
+            assert full_profile(shape, A.shape[1]) == sympy_smith_exponents(rows.tolist(), p.p, N)
+
+    @pytest.mark.parametrize("kind", SNF_KINDS + CONTENT_KINDS)
+    def test_selftest_oracle_matches_sympy(self, kind):
+        # the selftest's dense Smith form against sympy's; both need a row
+        for A, p, N in snf_inputs(kind):
+            rows = A.tolist() if len(A) else [[0] * A.shape[1]]
+            assert _oracle_shape_exponents(rows, p.p, N) == sympy_smith_exponents(rows, p.p, N)
 
     @pytest.mark.parametrize("kind", LARGE_KINDS)
     def test_large_kinds_match_reference(self, kind):
@@ -254,12 +262,12 @@ class TestSnf:
         ]
         for matrix in (near, UDV):
             shape = snf(matrix, Prime(p), N)
-            assert full_profile(shape, 4) == oracle_exponents(matrix, p, N)
+            assert full_profile(shape, 4) == sympy_smith_exponents(matrix, p, N)
         # a sparse band over a p-divisible block, every entry near p^N:
         # updates in two layers on the dict rows
         banded = band_over_block(np.random.default_rng(p), p, N, near=True)
         shape = snf(banded, Prime(p), N)
-        assert full_profile(shape, banded.shape[1]) == oracle_exponents(banded.tolist(), p, N)
+        assert full_profile(shape, banded.shape[1]) == sympy_smith_exponents(banded.tolist(), p, N)
 
     def test_int64_oracles_stop_at_their_edge(self, p3):
         # the int64 test oracles raise rather than wrap beyond the edge
@@ -328,11 +336,9 @@ class TestCoinvariants:
         with pytest.raises(DimensionOverflow):
             coinvariants(M, 2, dimension_bound=5)
 
-    def test_negative_level(self, ctx3, ctx3_d2):
+    def test_negative_level(self, ctx3):
         with pytest.raises(ValueError, match="n must be >= 0, got -1"):
             coinvariants(cyclic_module(ctx3, [-3, 1]), -1)
-        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
-            partial_coinvariants(ModulePresentation(ctx3_d2, 1, ()), -1, [0])
 
     def test_relation_matrix_matches_reference(self):
         # seeded modules with zero entries and terms of degree >= p^n,
@@ -869,53 +875,18 @@ class TestResultantOracle:
                 tried += 1
         assert tried > 10
 
-
-class TestPartialCoinvariants:
-    def test_harris_rank_on_free_modules(self, ctx3_d2):
-        # free module of rank s: coinvariants in T1 only give a free
-        # module over the remaining variable of rank s * p^n
-        for s in (1, 2):
-            M = ModulePresentation(ctx3_d2, s, ())
-            for n in (0, 1, 2):
-                reduced = partial_coinvariants(M, n, [0])
-                assert reduced.context.d == 1
-                assert reduced.generators == s * 3**n
-                shape = coinvariants(reduced, 0)
-                assert shape.zp_rank == s * 3**n
-
-    def test_matches_full_coinvariants(self, p3, ctx3_d2):
-        f = SeriesElement(ctx3_d2, {(1, 0): 1, (0, 0): -3})
-        ctx3_d3 = PrecisionContext(p3, 8, 3, 30)
-        g = SeriesElement(ctx3_d3, {(1, 0, 0): 1, (0, 1, 1): 2, (0, 0, 4): 1, (0, 0, 0): -3})
-        h = SeriesElement(ctx3_d3, {(0, 2, 0): 3, (1, 0, 1): 1})
-        zero = SeriesElement.zero(ctx3_d3)
-        cases = [
-            (ModulePresentation(ctx3_d2, 1, ((f,),)), [[0]]),
-            (ModulePresentation(ctx3_d3, 2, ((g, h), (zero, g))), [[0], [2], [0, 1], [1, 2]]),
-        ]
-        for M, subsets in cases:
-            for n in (0, 1):
-                full = coinvariants(M, n)
-                for variables in subsets:
-                    assert coinvariants(partial_coinvariants(M, n, variables), n) == full
-
-    def test_dimension_bound(self, ctx3_d2):
-        M = ModulePresentation(ctx3_d2, 2, ())
-        with pytest.raises(DimensionOverflow, match="18 exceeds bound 10"):
-            partial_coinvariants(M, 2, [0], dimension_bound=10)
-
-    def test_any_precision(self, p3):
-        # N = 20 is beyond floor(sqrt(2^63 - 1)), the edge of the int64
-        # oracles, and N = 40 far beyond: both agree with N = 12 mod 3^12
-        def reduced(N):
-            ctx = PrecisionContext(p3, N, 2, 30)
-            f = SeriesElement(ctx, {(2, 1): 5, (1, 0): 1, (0, 0): -3 * 7})
-            return partial_coinvariants(ModulePresentation(ctx, 1, ((f,),)), 3, [0])
-
-        low = reduced(12)
-        for N in (20, 40):
-            high = reduced(N)
-            assert high.generators == low.generators == 27
-            for row_low, row_high in zip(low.relations, high.relations, strict=True):
-                for lo, hi in zip(row_low, row_high, strict=True):
-                    assert SeriesElement(low.context, hi.coefficients) == lo
+    def test_resultant_matches_sympy(self):
+        # seeded w_n and f with 12-digit coefficients of either sign, f of
+        # degree above and below p^n, and f sharing the root 0 of w_n;
+        # the signs may differ from sympy's, and ord_p reads neither
+        rng = random.Random(286)
+        T = sympy.Symbol("T")
+        for _ in range(40):
+            p = rng.choice([3, 5, 7])
+            w = omega_int_coeffs(p, rng.randrange(0, 3 if p == 3 else 2))
+            f = [rng.randrange(-10**12, 10**12) for _ in range(rng.randrange(1, 8))]
+            f[-1] = f[-1] or 1
+            if rng.random() < 0.2:
+                f[0] = 0
+            theirs = sympy.resultant(sympy.Poly(w[::-1], T), sympy.Poly(f[::-1], T))
+            assert abs(_resultant(w, f)) == abs(int(theirs)), (w, f)
