@@ -1,6 +1,7 @@
 """Text formats: the polynomial grammar, the module-presentation file,
 tower TSV tables, invariant-report records, K-group tables, extension
-descriptors, and prediction TSV output.
+descriptors, and prediction TSV output.  The polynomial renderer
+`format_polynomial` lives in `series` and is imported from there.
 
 Two layouts serve them all, chosen over binary formats for
 auditability.  Tables are TSV with one header row (`_read_tsv`,
@@ -15,11 +16,11 @@ import re
 from dataclasses import MISSING, fields
 from fractions import Fraction
 
-from .invariants import InvariantReport
+from .invariants import _INTEGRAL_SLOTS, InvariantReport
 from .ktheory import ExtensionDescriptor, KGroupRecord, LocalPrimeDatum, TowerPrediction
 from .modules import ModulePresentation, TowerDatum
 from .padic import Prime
-from .series import PrecisionContext, SeriesElement
+from .series import PrecisionContext, SeriesElement, format_polynomial
 
 _VAR_RE = re.compile(r"^T(\d+)(?:\^(\d+))?$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
@@ -76,23 +77,6 @@ def parse_polynomial(text: str, context: PrecisionContext) -> SeriesElement:
         key = tuple(exps)
         data[key] = data.get(key, 0) + coeff
     return SeriesElement(context, data)
-
-
-def format_polynomial(f: SeriesElement) -> str:
-    """Inverse of parse_polynomial (canonical representatives)."""
-    if f.is_zero():
-        return "0"
-    parts = []
-    for exps in sorted(f.coefficients):
-        c = f.coefficients[exps]
-        factors = [str(c)]
-        for j, e in enumerate(exps):
-            if e == 1:
-                factors.append(f"T{j + 1}")
-            elif e > 1:
-                factors.append(f"T{j + 1}^{e}")
-        parts.append("*".join(factors))
-    return " + ".join(parts)
 
 
 # ------------------------------------------------------------------
@@ -212,8 +196,8 @@ def format_tower_tsv(data) -> str:
 
 
 def parse_tower_tsv(text: str):
-    """Tower rows, each at a distinct level n >= 0; the flags cell is `-`
-    or comma-separated flag names."""
+    """Tower rows, each at a distinct level n >= 0 with counts >= 0; the
+    flags cell is `-` or comma-separated flag names."""
     out, levels = [], set()
     for n, lt, zr, lm, flags in _read_tsv(text, TOWER_COLUMNS, "tower"):
         names = () if flags == "-" else tuple(flags.split(","))
@@ -225,7 +209,10 @@ def parse_tower_tsv(text: str):
         if level in levels:
             raise ValueError(f"repeated level in tower row n = {n}")
         levels.add(level)
-        out.append(TowerDatum(level, int(lt), int(zr), int(lm), names))
+        counts = tuple(map(int, (lt, zr, lm)))
+        if min(counts) < 0:
+            raise ValueError(f"negative count in tower row n = {n}")
+        out.append(TowerDatum(level, *counts, names))
     return out
 
 
@@ -257,7 +244,11 @@ def parse_report(text: str) -> InvariantReport:
     for f in fields(InvariantReport):
         if f.default is MISSING and f.name not in record:
             raise ValueError(f"missing record field {f.name!r}")
-    return InvariantReport(**{k: _REPORT_FIELDS[k](v) for k, v in record.items()})
+    report = InvariantReport(**{k: _REPORT_FIELDS[k](v) for k, v in record.items()})
+    for slot in sorted(_INTEGRAL_SLOTS & record.keys()):
+        if getattr(report, slot) < 0:
+            raise ValueError(f"negative record field {slot} = {getattr(report, slot)}")
+    return report
 
 
 # ------------------------------------------------------------------

@@ -160,18 +160,7 @@ class SeriesElement:
         )
 
     def __repr__(self):
-        if not self.coefficients:
-            return "SeriesElement(0)"
-        terms = []
-        for exps in sorted(self.coefficients):
-            c = self.coefficients[exps]
-            mono = "*".join(
-                f"T{j + 1}^{e}" if e > 1 else f"T{j + 1}"
-                for j, e in enumerate(exps)
-                if e
-            )
-            terms.append(f"{c}*{mono}" if mono else str(c))
-        return "SeriesElement(" + " + ".join(terms) + ")"
+        return f"SeriesElement({format_polynomial(self)})"
 
     # -- arithmetic ---------------------------------------------------
 
@@ -209,6 +198,25 @@ class SeriesElement:
 
     def scale(self, c: int) -> "SeriesElement":
         return SeriesElement(self.context, {e: v * c for e, v in self.coefficients.items()})
+
+
+def format_polynomial(f: SeriesElement) -> str:
+    """The text of f in the polynomial grammar, terms in increasing
+    multidegree order with canonical coefficients; it is also the repr,
+    and `formats.parse_polynomial` inverts it."""
+    if f.is_zero():
+        return "0"
+    parts = []
+    for exps in sorted(f.coefficients):
+        c = f.coefficients[exps]
+        factors = [str(c)]
+        for j, e in enumerate(exps):
+            if e == 1:
+                factors.append(f"T{j + 1}")
+            elif e > 1:
+                factors.append(f"T{j + 1}^{e}")
+        parts.append("*".join(factors))
+    return " + ".join(parts)
 
 
 def omega(context: PrecisionContext, n: int, j: int = 0) -> SeriesElement:
@@ -272,43 +280,28 @@ def _unit_inverse(u: SeriesElement) -> SeriesElement:
     return SeriesElement.univariate(ctx, x)
 
 
-def _divmod_monic(f: SeriesElement, g: SeriesElement) -> tuple:
-    """Exact polynomial division by a monic univariate g (d = 1).
-    Returns (q, r) with f = q*g + r, deg r < deg g."""
+def weierstrass_divide(f: SeriesElement, g: SeriesElement) -> tuple:
+    """Exact division of f by a monic polynomial g, such as a
+    distinguished one (d = 1): returns (q, r) with f = q*g + r and
+    deg r < deg g, unique at working precision."""
     ctx = f.context
+    if ctx.d != 1:
+        raise ValueError("weierstrass_divide requires d = 1")
+    f._require_same_context(g)
     m = ctx.modulus
     gc = g.univariate_coeffs()
     dg = len(gc) - 1
-    if gc[dg] % m != 1:
+    if gc[dg] != 1:
         raise ValueError("divisor must be monic")
     fc = f.univariate_coeffs()
-    fc = [c % m for c in fc]
-    q = [0] * max(1, len(fc) - dg)
+    q = [0] * (len(fc) - dg)
     for k in range(len(fc) - 1, dg - 1, -1):
-        c = fc[k] % m
+        c = fc[k]
         if c:
             q[k - dg] = c
             for i in range(dg + 1):
                 fc[k - dg + i] = (fc[k - dg + i] - c * gc[i]) % m
-    r = fc[:dg] if dg > 0 else [0]
-    return (
-        SeriesElement.univariate(ctx, q),
-        SeriesElement.univariate(ctx, r),
-    )
-
-
-def weierstrass_divide(f: SeriesElement, g: SeriesElement) -> tuple:
-    """Division of f by a distinguished polynomial g (d = 1): returns
-    (q, r) with f = q*g + r and deg r < deg g, unique at working
-    precision."""
-    if f.context.d != 1:
-        raise ValueError("weierstrass_divide requires d = 1")
-    f._require_same_context(g)
-    if g.is_zero():
-        raise ValueError("division by zero")
-    if g.degree(0) > f.context.D:
-        raise DegreeOverflow("divisor degree exceeds D")
-    return _divmod_monic(f, g)
+    return SeriesElement.univariate(ctx, q), SeriesElement.univariate(ctx, fc[:dg])
 
 
 def weierstrass_prepare(f: SeriesElement, guard: int = 1) -> WeierstrassForm:
@@ -318,7 +311,7 @@ def weierstrass_prepare(f: SeriesElement, guard: int = 1) -> WeierstrassForm:
     mu is the content valuation.  The distinguished part and unit live
     in a derived context of precision N - mu, in which the factorization
     holds exactly (mod T^{D+1}).  Raises PrecisionExhausted when mu is
-    too close to N or when no unit coefficient appears within degree D.
+    too close to N.
     """
     if guard < 1:
         raise ValueError(f"guard must be >= 1, got {guard}")
@@ -339,23 +332,11 @@ def weierstrass_prepare(f: SeriesElement, guard: int = 1) -> WeierstrassForm:
         work, {e: c // (p ** mu) for e, c in f.coefficients.items()}
     )
     coeffs = f1.univariate_coeffs()
-    lam = next((k for k, c in enumerate(coeffs) if c % p != 0), None)
-    if lam is None:
-        raise PrecisionExhausted(
-            "no unit coefficient within degree D after removing content"
-        )
-    if lam == 0:
-        # f1 is already a unit
-        return WeierstrassForm(
-            mu=mu,
-            distinguished=SeriesElement.constant(work, 1),
-            unit=f1,
-            lam=0,
-            effective_precision=eff,
-        )
+    # a coefficient of valuation mu leaves a unit in f1
+    lam = next(k for k, c in enumerate(coeffs) if c % p)
     # Hensel lifting of the factorization f1 = g*u from the exact split
     # f1 = (lower part) + T^lam * (upper part): start with g = T^lam,
-    # u = upper part, error = lower part = 0 mod p.
+    # u = upper part, error = lower part = 0 mod p (0 when lam = 0).
     upper = SeriesElement.univariate(work, coeffs[lam:])
     g = SeriesElement.univariate(work, [0] * lam + [1])
     u = upper
@@ -364,7 +345,7 @@ def weierstrass_prepare(f: SeriesElement, guard: int = 1) -> WeierstrassForm:
         if e.is_zero():
             break
         w = e * _unit_inverse(u)
-        q, dg = _divmod_monic(w, g)
+        q, dg = weierstrass_divide(w, g)
         du = q * u
         g = g + dg
         u = u + du

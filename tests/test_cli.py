@@ -292,6 +292,28 @@ class TestFitPredictPipeline:
         assert main(["fit", str(path), "--model", "Iwasawa_d1", "--p", "3"]) == 3
 
 
+class TestNegativeCounts:
+    @pytest.mark.parametrize(
+        "lt, zr", [((1, 2, 3, 4), (-1,) * 4), ((-1, -2, -3, -4), (0,) * 4)], ids=["zp-rank", "log-torsion"]
+    )
+    def test_tower_file_exit_1(self, tmp_path, capsys, lt, zr):
+        rows = ["n\tlog_torsion\tzp_rank\tlog_mod_pn\tflags"]
+        rows += [f"{n}\t{a}\t{b}\t0\t-" for n, (a, b) in enumerate(zip(lt, zr))]
+        path = tmp_path / "tower.tsv"
+        path.write_text("\n".join(rows) + "\n")
+        assert main(["fit", str(path), "--model", "Iwasawa_d1", "--p", "3"]) == 1
+        assert "negative count in tower row n = 0" in capsys.readouterr().err
+
+    def test_report_exit_1(self, tmp_path, capsys):
+        report = tmp_path / "report.txt"
+        report.write_text("p=3\nd=1\nmethod=exact\nmu=-1\nlam=-2\n")
+        desc = tmp_path / "desc.txt"
+        desc.write_text(ZP_DESC)
+        assert main(["predict", str(report), str(desc), "--p", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "negative record field" in captured.err
+
+
 class TestVanishing:
     def test_certified_exit_0(self, capsys):
         code = main(
@@ -309,6 +331,24 @@ class TestVanishing:
 
     def test_unknown_field_exit_1(self, capsys):
         assert main(["vanishing", "--field-label", "nope", "--p", "5"]) == 1
+
+    @pytest.mark.parametrize("p, code", [("5", 4), ("7", 0)])
+    def test_ktable_file(self, tmp_path, capsys, p, code):
+        # |K| = 2^2 * 5^2 * 3: a 5-part, no 7-part
+        table = tmp_path / "k.tsv"
+        table.write_text("field_label\ti\tdecomposition\tsource\nF\t2\t2,25,3\ttest\n")
+        assert main(["vanishing", "--ktable", str(table), "--field-label", "F", "--p", p]) == code
+        assert f"certified: {'yes' if code == 0 else 'no'}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, code", [("ramified", 4), ("unramified", 0)])
+    def test_descriptor_file(self, tmp_path, capsys, flag, code):
+        # ord_5(11 - 1) = 1, so a ramified v11 blocks certification at p = 5
+        desc = tmp_path / "desc.txt"
+        desc.write_text(f"kind: Uniform\nd: 1\nramified_prime: v11 11 {flag}\n")
+        argv = ["vanishing", "--descriptor", str(desc), "--field-label", "Q(sqrt(-4683))", "--p", "5"]
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        assert ("FAIL ramified prime v11 (q = 11): " in out) == (flag == "ramified")
 
 
 class TestInvariants:

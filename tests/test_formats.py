@@ -136,6 +136,23 @@ class TestTowerTsv:
         with pytest.raises(ValueError, match="empty flag name in tower row n = 3"):
             parse_tower_tsv(self.HEADER + f"3\t4\t0\t3\t{flags}\n")
 
+    @pytest.mark.parametrize(
+        "row", ["2\t-1\t0\t0\t-", "2\t1\t-1\t0\t-", "2\t1\t0\t-1\t-"], ids=["log_torsion", "zp_rank", "log_mod_pn"]
+    )
+    def test_negative_count_rejected(self, row):
+        # log_torsion, zp_rank and log_mod_pn count p-adic digits
+        with pytest.raises(ValueError, match="negative count in tower row n = 2"):
+            parse_tower_tsv(self.HEADER + "1\t1\t0\t0\t-\n" + row + "\n")
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [("", "empty tower table"), ("# no rows\n", "empty tower table"), (HEADER + "0\t1\t0\t0\n", "malformed tower row")],
+        ids=["empty", "comments-only", "short-row"],
+    )
+    def test_malformed_table_rejected(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            parse_tower_tsv(text)
+
 
 class TestReportRecord:
     def test_roundtrip(self):
@@ -169,7 +186,8 @@ class TestReportRecord:
             parse_report("p=3\nd=1\nmethod=fitted\nmu=1\n" + extra)
 
     def test_seeded_roundtrip(self):
-        # every slot and window_bound None, 0 or nonzero; residuals empty or not
+        # every slot and window_bound None, 0 or nonzero; residuals empty or
+        # not.  A report with a negative mu, lam, rank or rank_over_h is refused
         rng = random.Random(20261018)
 
         def value(kind):
@@ -190,7 +208,20 @@ class TestReportRecord:
                     verdict=rng.choice(["", "window-consistent"]),
                     **slots,
                 )
-                assert parse_report(format_report(rep)) == rep
+                if any((slots[name] or 0) < 0 for name in ("mu", "lam", "rank", "rank_over_h")):
+                    with pytest.raises(ValueError, match="negative record field"):
+                        parse_report(format_report(rep))
+                else:
+                    assert parse_report(format_report(rep)) == rep
+
+    @pytest.mark.parametrize("slot", ["mu", "lam", "rank", "rank_over_h"])
+    def test_negative_integral_slot_rejected(self, slot):
+        with pytest.raises(ValueError, match=f"negative record field {slot} = -1"):
+            parse_report(f"p=3\nd=2\nmethod=fitted\n{slot}=-1\n")
+
+    def test_negative_l0_and_mu_h_accepted(self):
+        rep = InvariantReport(p=3, d=2, method="fitted", l0=-2, mu_h=-1)
+        assert parse_report(format_report(rep)) == rep
 
     def test_hash_in_value_roundtrip(self):
         rep = InvariantReport(p=3, d=1, method="fitted", model="Iwasawa_d1#2", verdict="ok # see run #4")
@@ -252,6 +283,19 @@ note: demo
     def test_duplicate_field(self, line):
         with pytest.raises(ValueError, match="duplicate field"):
             parse_descriptor("kind: Zp\nd: 1\n" + line)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("kind Zp\nd: 1\n", "no ':'"),
+            ("kind: Uniform\nd: 1\nramified_prime: v11\n", "malformed ramified_prime line"),
+            ("kind: Uniform\nd: 1\nramified_prime: v11 11 sideways\n", "bad ramification flag 'sideways'"),
+        ],
+        ids=["no-separator", "one-field", "bad-flag"],
+    )
+    def test_malformed_line_rejected(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            parse_descriptor(text)
 
     def test_zpd_ramified_rejected(self):
         with pytest.raises(ValueError):

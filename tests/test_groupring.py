@@ -553,3 +553,20 @@ class TestQuotientCoinvariants:
         for G, H, Gamma in corpus_groups(3):
             M = group_ring_module(G, Prime(3), 2)
             assert quotient_coinvariant_check(M, H, Gamma).all_equal
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: FiniteGroup([[0, 1]]), "not square", id="table-not-square"),
+        pytest.param(lambda: FiniteGroup([[1, 1], [1, 1]]), "no identity", id="table-without-identity"),
+        pytest.param(lambda: corpus_groups(5), "defined for p = 3", id="corpus-p5"),
+        pytest.param(
+            lambda: FiniteGroupRingModule(C3, Prime(3), 2, generators=1, relations=(({0: 1}, {1: 1}),)),
+            "relation length", id="relation-length",
+        ),
+    ],
+)
+def test_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

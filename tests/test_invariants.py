@@ -9,8 +9,10 @@ from iwatower import (
     ModulePresentation,
     NonIntegralCoefficient,
     NotSquare,
+    PrecisionExhausted,
     SeriesElement,
     TowerDatum,
+    char_poly,
     cuoco_monsky_hypothesis_check,
     exact_invariants_d1,
     fit_growth,
@@ -19,6 +21,7 @@ from iwatower import (
     tower,
 )
 from iwatower.formats import format_report
+from iwatower.invariants import _det_mod_p
 
 from conftest import cyclic_module, poly, reference_fit_growth, split_module
 
@@ -71,6 +74,13 @@ class TestMuOfModPn:
         tail = [b - a for a, b in zip(values[5:], values[6:])]
         assert all(s == r for s in tail)
 
+    @pytest.mark.parametrize(
+        "alphas, r, n", [((1,), 0, 0), ((1,), -1, 1), ((0,), 0, 1)], ids=["n-0", "rank-negative", "exponent-0"]
+    )
+    def test_out_of_range_rejected(self, alphas, r, n):
+        with pytest.raises(ValueError):
+            mu_of_mod_pn(alphas, r, n)
+
 
 class TestMuPositivity:
     def test_positive(self, ctx3):
@@ -91,6 +101,43 @@ class TestMuPositivity:
             M = split_module(ctx3, mu, roots)
             exact_pos, mod_p_pos = mu_positivity_equiv(M)
             assert exact_pos == mod_p_pos
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_square_presentations(self, ctx3, k):
+        # entries of degree <= 2, about 60% of their coefficients multiples
+        # of p, so the cofactor recursion of _det_mod_p runs past 1 x 1
+        rng = random.Random(7 + k)
+        p, m = 3, ctx3.modulus
+
+        def coefficient():
+            if rng.random() < 0.6:
+                return p * rng.randrange(m // p)
+            return rng.randrange(m)
+
+        seen, tried = set(), 0
+        for _ in range(120):
+            rows = tuple(tuple(poly(ctx3, [coefficient() for _ in range(3)]) for _ in range(k)) for _ in range(k))
+            M = ModulePresentation(ctx3, k, rows)
+            try:
+                exact_pos, mod_p_pos = mu_positivity_equiv(M)
+            except PrecisionExhausted:
+                continue
+            assert exact_pos == mod_p_pos
+            det = char_poly(M.relation_matrix())
+            reduced = [det.coefficient((e,)) % p for e in range(ctx3.D + 1)]
+            assert _det_mod_p(M) == reduced
+            seen.add(exact_pos)
+            tried += 1
+        assert seen == {False, True} and tried >= 100
+
+
+class TestCuocoMonskyHypothesisCheck:
+    def test_short_windows_pass(self):
+        # zp_rank / p^((d-2)n) at d = 3: a lone unflagged level n = 1 gives 6/3
+        model = GrowthModel("CuocoMonsky", 3, 3)
+        assert cuoco_monsky_hypothesis_check([], model) == (True, 0)
+        flagged = TowerDatum(0, 1, 5, 0, ("PrecisionMargin",))
+        assert cuoco_monsky_hypothesis_check([flagged, TowerDatum(1, 2, 6, 0)], model) == (True, 2)
 
 
 class TestGrowthModelValidation:

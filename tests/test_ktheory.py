@@ -283,3 +283,8 @@ class TestModPH2:
             mod_p_h2_dimension(0, 0)
         with pytest.raises(ValueError):
             mod_p_h2_dimension(-1, 1)
+
+
+def test_change_of_s_order_negative_order():
+    with pytest.raises(ValueError, match="log_h2_sp must be >= 0"):
+        change_of_s_order(-1, (), 2, Prime(3))

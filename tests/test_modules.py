@@ -14,6 +14,7 @@ import sympy
 import iwatower
 from iwatower import (
     AbelianShape,
+    ContextMismatch,
     DimensionOverflow,
     PrecisionExhausted,
     Prime,
@@ -890,3 +891,33 @@ class TestResultantOracle:
                 f[0] = 0
             theirs = sympy.resultant(sympy.Poly(w[::-1], T), sympy.Poly(f[::-1], T))
             assert abs(_resultant(w, f)) == abs(int(theirs)), (w, f)
+
+
+C1 = PrecisionContext(Prime(3), 6, 1, 16)
+C2 = PrecisionContext(Prime(3), 6, 2, 16)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        pytest.param(lambda: ModulePresentation(C1, 0, ()), ValueError, "at least one generator", id="no-generators"),
+        pytest.param(
+            lambda: ModulePresentation(C1, 2, ((SeriesElement.variable(C1),),)), ValueError, "relation length",
+            id="relation-length",
+        ),
+        pytest.param(
+            lambda: ModulePresentation(C1, 1, ((SeriesElement.variable(C1.with_precision(7)),),)), ContextMismatch,
+            "context", id="entry-context",
+        ),
+        pytest.param(
+            lambda: torsion_size_resultant_oracle(SeriesElement.variable(C2), 1), ValueError, "d = 1", id="oracle-d2"
+        ),
+        pytest.param(
+            lambda: torsion_size_resultant_oracle(SeriesElement.zero(C1), 1), PrecisionExhausted, "f is 0",
+            id="oracle-zero",
+        ),
+    ],
+)
+def test_input_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -163,3 +163,16 @@ class TestH1LocalOrder:
         assert b >= a
         if a > 0:
             assert b == a + 1
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: valuation_tower(1, Prime(3), 1), "b must be >= 2", id="tower-b-1"),
+        pytest.param(lambda: valuation_tower(4, Prime(3), -1), "n must be >= 0", id="tower-negative-level"),
+        pytest.param(lambda: h1_local_order_tower(4, 2, Prime(3), -1), "n must be >= 0", id="h1-negative-level"),
+    ],
+)
+def test_input_checks(call, match):
+    with pytest.raises(HypothesisViolated, match=match):
+        call()

@@ -21,6 +21,9 @@ from iwatower import (
 
 from conftest import poly
 
+C1 = PrecisionContext(Prime(3), 6, 1, 16)
+C2 = PrecisionContext(Prime(3), 6, 2, 16)
+
 
 class TestContext:
     def test_validation(self, p3):
@@ -72,6 +75,53 @@ class TestSeriesElement:
         t = SeriesElement.variable(ctx3)
         with pytest.raises(AttributeError):
             t.coefficients = {}
+
+
+class TestRepr:
+    # texts written by the repr's own renderer, before it called format_polynomial
+    @pytest.mark.parametrize(
+        "element, text",
+        [
+            (SeriesElement(C2, {(0, 0): 7, (1, 2): 5, (3, 0): 1}), "SeriesElement(7 + 5*T1*T2^2 + 1*T1^3)"),
+            (SeriesElement.zero(C2), "SeriesElement(0)"),
+            (SeriesElement.zero(C1), "SeriesElement(0)"),
+            (SeriesElement(C1, {(0,): -1, (1,): 1, (4,): 27}), "SeriesElement(728 + 1*T1 + 27*T1^4)"),
+            (SeriesElement.variable(C1), "SeriesElement(1*T1)"),
+            (SeriesElement.constant(C1, 3), "SeriesElement(3)"),
+            (
+                SeriesElement(
+                    PrecisionContext(Prime(7), 2, 3, 4),
+                    {(0, 1, 0): 2, (2, 0, 3): 48, (0, 0, 1): 1, (1, 1, 1): 1},
+                ),
+                "SeriesElement(1*T3 + 2*T2 + 1*T1*T2*T3 + 48*T1^2*T3^3)",
+            ),
+        ],
+    )
+    def test_pinned(self, element, text):
+        assert repr(element) == text
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            pytest.param(lambda: SeriesElement(C1, {(0, 0): 1}), ValueError, "wrong arity", id="arity"),
+            pytest.param(lambda: SeriesElement(C1, {(-1,): 1}), ValueError, "negative exponent", id="negative-exponent"),
+            pytest.param(lambda: SeriesElement.variable(C1, 1), ValueError, "out of range", id="variable-index"),
+            pytest.param(lambda: SeriesElement.variable(C2).univariate_coeffs(), ValueError, "d = 1", id="univariate-coeffs-d2"),
+            pytest.param(lambda: omega(C1, -1), ValueError, "n must be >= 0", id="omega-negative-level"),
+            pytest.param(lambda: weierstrass_divide(poly(C1, [0, 1]), poly(C1, [1, 3])), ValueError, "monic", id="non-monic-divisor"),
+            pytest.param(lambda: weierstrass_divide(poly(C1, [0, 1]), SeriesElement.zero(C1)), ValueError, "monic", id="zero-divisor"),
+            pytest.param(lambda: weierstrass_divide(*[SeriesElement.variable(C2)] * 2), ValueError, "d = 1", id="divide-d2"),
+            pytest.param(lambda: weierstrass_prepare(SeriesElement.variable(C2)), ValueError, "d = 1", id="prepare-d2"),
+            pytest.param(
+                lambda: char_poly([[SeriesElement.constant(C1, 1)] * 9] * 9), NotSquare, "exceeds bound", id="char-poly-9x9"
+            ),
+        ],
+    )
+    def test_raises(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
 
 
 class TestOmega:
@@ -148,6 +198,16 @@ class TestWeierstrassPrepare:
             wf.effective_precision,
         )
 
+    @pytest.mark.parametrize("mu", [0, 2])
+    def test_unit_times_p_power(self, p3, mu):
+        # lam = 0: the distinguished part is 1 and the unit is f / p^mu
+        ctx = PrecisionContext(p3, 6, 1, 16)
+        wf = weierstrass_prepare(poly(ctx, [4 * 3**mu, 3 * 3**mu, 3**mu]))
+        work = wf.distinguished.context
+        assert (wf.mu, wf.lam, wf.effective_precision) == (mu, 0, 6 - mu)
+        assert wf.distinguished == SeriesElement.constant(work, 1)
+        assert wf.unit == poly(work, [4, 3, 1])
+
     def test_zero_rejected(self, ctx3):
         with pytest.raises(PrecisionExhausted):
             weierstrass_prepare(SeriesElement.zero(ctx3))
@@ -162,7 +222,7 @@ class TestWeierstrassPrepare:
         # a lifting step that never corrects g leaves the error nonzero
         ctx = PrecisionContext(p3, 6, 1, 16)
         monkeypatch.setattr(
-            iwatower.series, "_divmod_monic", lambda w, g: (SeriesElement.zero(w.context),) * 2
+            iwatower.series, "weierstrass_divide", lambda w, g: (SeriesElement.zero(w.context),) * 2
         )
         with pytest.raises(IwatowerError, match="Hensel"):
             weierstrass_prepare(poly(ctx, [3, 1, 1]))
