@@ -31,7 +31,7 @@ from .formats import (
 )
 from .invariants import GrowthModel, exact_invariants_d1, fit_growth
 from .ktheory import BUILTIN_KTABLE, ExtensionDescriptor, predict_growth, vanishing_propagation
-from .modules import DEFAULT_DIMENSION_BOUND, DEFAULT_GUARD, tower
+from .modules import DEFAULT_DIMENSION_BOUND, tower
 from .padic import Prime
 from .selftest import DEFAULT_SEED, run_selftest
 
@@ -57,7 +57,7 @@ def _read(path: str) -> str:
 
 def cmd_tower(args) -> int:
     M = parse_module_file(_read(args.module_file), N=args.N, D=args.D)
-    data = tower(M, args.n_max, guard=args.guard, dimension_bound=args.dim_bound)
+    data = tower(M, args.n_max, dimension_bound=args.dim_bound)
     _emit(format_tower_tsv(data), args.out)
     return EXIT_FLAGGED if any(t.flags for t in data) else EXIT_OK
 
@@ -117,7 +117,7 @@ def cmd_vanishing(args) -> int:
 
 def cmd_invariants(args) -> int:
     M = parse_module_file(_read(args.module_file), N=args.N, D=args.D)
-    report = exact_invariants_d1(M, guard=args.guard)
+    report = exact_invariants_d1(M)
     _emit(format_report(report), args.out)
     return EXIT_OK
 
@@ -143,7 +143,6 @@ def _new_parser() -> argparse.ArgumentParser:
     t.add_argument("--N", type=int, help="override coefficient precision")
     t.add_argument("--D", type=int, help="override degree truncation")
     t.add_argument("--n-max", type=int, default=3, dest="n_max")
-    t.add_argument("--guard", type=int, default=DEFAULT_GUARD)
     t.add_argument(
         "--dim-bound",
         type=int,
@@ -185,7 +184,6 @@ def _new_parser() -> argparse.ArgumentParser:
     inv.add_argument("module_file")
     inv.add_argument("--N", type=int, help="override coefficient precision")
     inv.add_argument("--D", type=int, help="override degree truncation")
-    inv.add_argument("--guard", type=int, default=1)
     inv.add_argument("--out")
     inv.set_defaults(func=cmd_invariants)
 

@@ -259,10 +259,13 @@ KTABLE_COLUMNS = ("field_label", "i", "decomposition", "source")
 
 
 def parse_ktable(text: str):
-    return [
-        KGroupRecord(label, int(i), _ints(decomposition), source)
-        for label, i, decomposition, source in _read_tsv(text, KTABLE_COLUMNS, "K-table")
-    ]
+    """K-group records, each for a distinct (field_label, i) pair."""
+    out = {}
+    for label, i, decomposition, source in _read_tsv(text, KTABLE_COLUMNS, "K-table"):
+        record = KGroupRecord(label, int(i), _ints(decomposition), source)
+        if out.setdefault((label, record.i), record) is not record:
+            raise ValueError(f"repeated K-table row for field {label!r} with i = {record.i}")
+    return list(out.values())
 
 
 def format_ktable(records) -> str:

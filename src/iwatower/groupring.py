@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import GroupTooLarge, HypothesisViolated
 from .modules import AbelianShape, snf
-from .padic import Prime, prime_base
+from .padic import Prime, as_int, prime_base
 
 DEFAULT_ORDER_CAP = 243
 
@@ -237,7 +237,7 @@ def corpus_groups(p: int = 3):
 class FiniteGroupRingModule:
     """Finite presentation over the group ring: generators `k` and
     relations given as vectors of group-ring elements, each a dict
-    mapping group-element index to an integer coefficient."""
+    mapping group-element index to a coefficient equal to an integer."""
 
     group: FiniteGroup
     p: Prime
@@ -251,7 +251,7 @@ class FiniteGroupRingModule:
         if self.N < 1:
             raise ValueError(f"precision N = {self.N} must be at least 1")
         elements = range(self.group.order)
-        rels = tuple(tuple(dict(e) for e in row) for row in self.relations)
+        rels = tuple(tuple({s: as_int(c) for s, c in dict(e).items()} for e in row) for row in self.relations)
         for row in rels:
             if len(row) != self.generators:
                 raise ValueError("relation length does not match generator count")

@@ -57,7 +57,7 @@ class InvariantReport:
         return value
 
 
-def exact_invariants_d1(M: ModulePresentation, guard: int = 1) -> InvariantReport:
+def exact_invariants_d1(M: ModulePresentation) -> InvariantReport:
     """mu and lambda of a d = 1 square-presented torsion module, read
     off the Weierstrass form of the determinant of the presentation."""
     if M.context.d != 1:
@@ -65,7 +65,7 @@ def exact_invariants_d1(M: ModulePresentation, guard: int = 1) -> InvariantRepor
     if not M.is_square():
         raise NotSquare("presentation matrix is not square")
     det = char_poly(M.relation_matrix())
-    wf = weierstrass_prepare(det, guard=guard)
+    wf = weierstrass_prepare(det)
     return InvariantReport(
         p=M.context.p.p, d=1, method="exact", mu=wf.mu, lam=wf.lam
     )
@@ -120,10 +120,10 @@ def _det_mod_p(M: ModulePresentation):
     return det(tuple(range(k)), tuple(range(k)))
 
 
-def mu_positivity_equiv(M: ModulePresentation, guard: int = 1) -> tuple:
+def mu_positivity_equiv(M: ModulePresentation) -> tuple:
     """(mu > 0 via the exact characteristic element, mu of M/p > 0 via
     an independent mod-p determinant).  The two booleans agree."""
-    exact = exact_invariants_d1(M, guard=guard)
+    exact = exact_invariants_d1(M)
     mod_p_det = _det_mod_p(M)
     return exact.mu > 0, all(c == 0 for c in mod_p_det)
 
@@ -213,7 +213,7 @@ _FAMILIES = {
 
 
 #: slots the paper asserts to be non-negative integers
-_INTEGRAL_SLOTS = {"mu", "lam", "rank", "rank_over_h"}
+_INTEGRAL_SLOTS = {"mu", "lam", "rank", "rank_over_h", "mu_h"}
 
 
 def _solve_fraction_system(rows, rhs):

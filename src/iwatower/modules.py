@@ -29,15 +29,11 @@ from itertools import product
 from math import gcd, prod
 
 from .errors import ContextMismatch, DimensionOverflow, NotSquare, PrecisionExhausted
-from .padic import Prime, ord_p
+from .padic import Prime, as_int, ord_p
 from .series import PrecisionContext, SeriesElement, char_poly, omega_int_coeffs
 
 #: default cap on the number of Z/p^N basis elements of a coinvariant.
 DEFAULT_DIMENSION_BOUND = 20000
-
-#: torsion exponents > N - guard are flagged as indistinguishable from
-#: free at precision N (tower needs guard >= 2: exponents are below N).
-DEFAULT_GUARD = 2
 
 @dataclass(frozen=True)
 class AbelianShape:
@@ -56,11 +52,6 @@ class AbelianShape:
     @property
     def zp_rank(self) -> int:
         return self.free_rank_at_precision
-
-    @property
-    def precision_margin(self) -> int:
-        top = max(self.torsion_exponents, default=0)
-        return self.N - top
 
     def log_order(self) -> int:
         """log_p of the order of the full finite Z/p^N-module."""
@@ -171,9 +162,9 @@ def snf(matrix, p: Prime, N: int) -> AbelianShape:
     touches rather than a pass over the block (the sparse phase of
     structured Gaussian elimination, after LaMacchia and Odlyzko).  The
     coinvariants hand their rows over as built.  Other input (a list of
-    lists, a 2-D array) is read mod p^N, exactly for entries of any
-    size, into the same rows; its rows must be sequences of one length
-    (ValueError), and with none the column count is shape[-1] or 0.
+    lists, a 2-D array) is read mod p^N, exactly for entries equal to
+    integers of any size, into the same rows; its rows must be sequences
+    of one length (ValueError), and with none the columns are shape[-1] or 0.
     """
     q = p.p
     m = q ** N
@@ -182,7 +173,7 @@ def snf(matrix, p: Prime, N: int) -> AbelianShape:
         cols = len(rows[0]) if rows and hasattr(rows[0], "__len__") else getattr(matrix, "shape", (0,))[-1]
         if bad := [i for i, row in enumerate(rows) if not hasattr(row, "__len__") or len(row) != cols]:
             raise ValueError(f"snf needs rows that are sequences of one length: row {bad[0]} is {rows[bad[0]]!r}")
-        rows = [{j: y for j, x in enumerate(row) if (y := int(x) % m)} for row in rows]
+        rows = [{j: y for j, x in enumerate(row) if (y := as_int(x) % m)} for row in rows]
         matrix = _SparseRows(rows, (len(rows), cols))
     cols = matrix.shape[1]
     live = {i: row for i, row in enumerate(matrix.rows) if row}
@@ -402,16 +393,14 @@ def coinvariants(
 def tower(
     M: ModulePresentation,
     n_max: int,
-    guard: int = DEFAULT_GUARD,
     dimension_bound: int = DEFAULT_DIMENSION_BOUND,
 ) -> list:
     """Coinvariant measurements for n = 0..n_max.  Levels are
     independent pure computations; per-level failures are recorded as
-    flags and the run continues."""
+    flags and the run continues.  A level with a torsion exponent of
+    N - 1, the largest below N, is flagged PrecisionMargin."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if guard < 2:
-        raise ValueError(f"guard must be >= 2, got {guard}")
     if dimension_bound < 0:
         raise ValueError(f"dimension_bound must be >= 0, got {dimension_bound}")
 
@@ -420,9 +409,7 @@ def tower(
             shape = coinvariants(M, n, dimension_bound)
         except DimensionOverflow:
             return TowerDatum(n, 0, 0, 0, ("DimensionOverflow",))
-        flags = ()
-        if shape.torsion_exponents and shape.precision_margin < guard:
-            flags = ("PrecisionMargin",)
+        flags = ("PrecisionMargin",) if M.context.N - 1 in shape.torsion_exponents else ()
         return TowerDatum(
             n,
             shape.log_torsion,

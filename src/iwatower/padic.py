@@ -34,6 +34,14 @@ def prime_base(x: int):
     return d if d ** x.bit_length() % x == 0 else None
 
 
+def as_int(x) -> int:
+    """x as a Python int when x equals one (3.0, a numpy integer), else
+    a ValueError (2.5, "3"), or int()'s own error when it takes no x."""
+    if (n := int(x)) != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return n
+
+
 @dataclass(frozen=True)
 class Prime:
     """A checked prime.  p = 2 is accepted here; lemma-backed operations

@@ -241,7 +241,7 @@ def run_selftest(seed: int = DEFAULT_SEED) -> tuple:
     any check fails and 0 otherwise.  A check that raises fails with a
     line naming the exception, and the remaining checks still run."""
     rng = random.Random(seed)
-    # fixed text: the checks run at modules.DEFAULT_GUARD and skip none
+    # fixed text: guard=2 is the margin tower flags at (an exponent N - 1); no check is skipped
     lines = [f"selftest seed={seed} guard=2"]
     for name, check in _CHECKS:
         try:

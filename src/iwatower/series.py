@@ -19,7 +19,7 @@ from .errors import (
     NotSquare,
     PrecisionExhausted,
 )
-from .padic import Prime, ord_p
+from .padic import Prime, as_int, ord_p
 
 #: largest matrix size accepted by char_poly (cofactor expansion).
 CHAR_POLY_SIZE_BOUND = 8
@@ -56,7 +56,7 @@ class SeriesElement:
     """Immutable sparse element of the truncated ring.
 
     coefficients: dict mapping multidegree tuples (length d, entries
-    <= D) to nonzero residues mod p^N.
+    <= D) to nonzero residues mod p^N of values equal to integers.
     """
 
     __slots__ = ("context", "coefficients")
@@ -72,8 +72,7 @@ class SeriesElement:
                 raise ValueError(f"negative exponent in {exps}")
             if any(e > context.D for e in exps):
                 raise DegreeOverflow(f"exponent in {exps} exceeds D={context.D}")
-            c %= m
-            if c:
+            if c := as_int(c) % m:
                 clean[exps] = c
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "coefficients", clean)
@@ -304,17 +303,15 @@ def weierstrass_divide(f: SeriesElement, g: SeriesElement) -> tuple:
     return SeriesElement.univariate(ctx, q), SeriesElement.univariate(ctx, fc[:dg])
 
 
-def weierstrass_prepare(f: SeriesElement, guard: int = 1) -> WeierstrassForm:
+def weierstrass_prepare(f: SeriesElement) -> WeierstrassForm:
     """Weierstrass preparation of a nonzero univariate f: factor
     f = p^mu * distinguished * unit.
 
     mu is the content valuation.  The distinguished part and unit live
     in a derived context of precision N - mu, in which the factorization
     holds exactly (mod T^{D+1}).  Raises PrecisionExhausted when mu is
-    too close to N.
+    N - 1 or more, which would leave a context of precision below 2.
     """
-    if guard < 1:
-        raise ValueError(f"guard must be >= 1, got {guard}")
     ctx = f.context
     if ctx.d != 1:
         raise ValueError("weierstrass_prepare requires d = 1")
@@ -322,10 +319,8 @@ def weierstrass_prepare(f: SeriesElement, guard: int = 1) -> WeierstrassForm:
         raise PrecisionExhausted("f is 0 at this precision")
     p = ctx.p.p
     mu = f.content_valuation()
-    if mu >= ctx.N - guard:
-        raise PrecisionExhausted(
-            f"content valuation {mu} >= N - guard = {ctx.N - guard}"
-        )
+    if mu >= ctx.N - 1:
+        raise PrecisionExhausted(f"content valuation {mu} >= N - 1 = {ctx.N - 1}")
     eff = ctx.N - mu
     work = ctx.with_precision(eff)
     f1 = SeriesElement(

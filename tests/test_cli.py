@@ -1,4 +1,6 @@
+import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,27 +90,17 @@ class TestTower:
         ]
         assert flagged
 
-    @pytest.mark.parametrize(
-        "relation, guard, code, flag",
-        [("27", "2", 2, "PrecisionMargin"), ("9", "2", 0, "-"), ("9", "3", 2, "PrecisionMargin")],
-    )
-    def test_guard_flags_exponents_above_n_minus_guard(self, relation, guard, code, flag, tmp_path):
-        # at N = 4, 27 and 9 give exponents 3 and 2 at every level
+    @pytest.mark.parametrize("p, N", [(3, 4), (5, 6), (7, 3)])
+    @pytest.mark.parametrize("below, code, flag", [(1, 2, "PrecisionMargin"), (2, 0, "-")])
+    def test_flags_exponent_n_minus_1(self, p, N, below, code, flag, tmp_path):
+        # the relation p^(N - below) gives that exponent at every level
         path = tmp_path / "mod.txt"
-        path.write_text(MODULE_DOC.replace("N: 12", "N: 4").replace("T1 - p", relation))
+        doc = MODULE_DOC.replace("p: 3", f"p: {p}").replace("N: 12", f"N: {N}")
+        path.write_text(doc.replace("T1 - p", f"p^{N - below}"))
         out = tmp_path / "t.tsv"
-        assert main(["tower", str(path), "--n-max", "1", "--guard", guard, "--out", str(out)]) == code
-        assert [l.split("\t")[-1] for l in out.read_text().splitlines()[1:]] == [flag, flag]
-
-    @pytest.mark.parametrize("guard", ["1", "0", "-5"])
-    def test_guard_below_2_exit_1(self, guard, tmp_path, capsys):
-        # below 2 no exponent could be flagged, so relation 27 would pass silently
-        path = tmp_path / "mod.txt"
-        path.write_text(MODULE_DOC.replace("N: 12", "N: 4").replace("T1 - p", "27"))
-        assert main(["tower", str(path), "--n-max", "1", "--guard", guard]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"guard must be >= 2, got {guard}" in captured.err
+        assert main(["tower", str(path), "--n-max", "1", "--out", str(out)]) == code
+        rows = [l.split("\t") for l in out.read_text().splitlines()[1:]]
+        assert rows == [["0", str(N - below), "0", "0", flag], ["1", str(p * (N - below)), "0", str(p), flag]]
 
     def test_dim_bound_below_0_exit_1(self, module_file, capsys):
         # below 0 every level would be flagged DimensionOverflow
@@ -340,6 +332,16 @@ class TestVanishing:
         assert main(["vanishing", "--ktable", str(table), "--field-label", "F", "--p", p]) == code
         assert f"certified: {'yes' if code == 0 else 'no'}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("rows", [["2,25,3\ta", "2,3\tb"], ["2,3\tb", "2,25,3\ta"]], ids=["5-part-first", "5-part-last"])
+    def test_repeated_ktable_pair_exit_1(self, tmp_path, capsys, rows):
+        # the two rows disagree at p = 5, so neither may be read in place of the other
+        table = tmp_path / "k.tsv"
+        table.write_text("field_label\ti\tdecomposition\tsource\n" + "".join(f"F\t2\t{r}\n" for r in rows))
+        assert main(["vanishing", "--ktable", str(table), "--field-label", "F", "--p", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ValueError: repeated K-table row for field 'F' with i = 2\n"
+
     @pytest.mark.parametrize("flag, code", [("ramified", 4), ("unramified", 0)])
     def test_descriptor_file(self, tmp_path, capsys, flag, code):
         # ord_5(11 - 1) = 1, so a ramified v11 blocks certification at p = 5
@@ -358,23 +360,19 @@ class TestInvariants:
         assert "method=exact" in out
         assert "mu=0" in out and "lam=1" in out
 
-    @pytest.mark.parametrize(
-        "guard, message",
-        [
-            ("1", "PrecisionExhausted: content valuation 3 >= N - guard = 3"),
-            ("0", "ValueError: guard must be >= 1, got 0"),
-            ("-3", "ValueError: guard must be >= 1, got -3"),
-        ],
-    )
-    def test_guard_checked_before_preparation(self, guard, message, tmp_path, capsys):
-        # content valuation N - 1: below guard 1 it would reach a precision-1 context
+    @pytest.mark.parametrize("p, N", [(3, 4), (5, 6), (7, 3)])
+    def test_content_valuation_n_minus_1_refused(self, p, N, tmp_path, capsys):
+        # content valuation N - 1 would leave a precision-1 context, N - 2 leaves 2
         path = tmp_path / "mod.txt"
-        path.write_text(MODULE_DOC.replace("N: 12", "N: 4").replace("T1 - p", "27*T1 - 27"))
-        assert main(["invariants", str(path), "--guard", guard]) == 1
+        doc = MODULE_DOC.replace("p: 3", f"p: {p}").replace("N: 12", f"N: {N}")
+        path.write_text(doc.replace("T1 - p", f"p^{N - 1}*T1 - p^{N - 1}"))
+        assert main(["invariants", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"error: {message}\n" == captured.err
-
+        assert captured.err == f"error: PrecisionExhausted: content valuation {N - 1} >= N - 1 = {N - 1}\n"
+        path.write_text(doc.replace("T1 - p", f"p^{N - 2}*T1 - p^{N - 1}"))
+        assert main(["invariants", str(path)]) == 0
+        assert capsys.readouterr().out == f"p={p}\nd=1\nmethod=exact\nmu={N - 2}\nlam=1\n"
 
     def test_two_variables_input_error(self, tmp_path, capsys):
         path = tmp_path / "mod.txt"
@@ -413,8 +411,10 @@ class TestParser:
             ["tower", "m.txt", "--n-max", "abc"],
             ["frobnicate"],
             ["selftest", "--guard", "2"],
+            ["tower", "m.txt", "--guard", "2"],
+            ["invariants", "m.txt", "--guard", "1"],
         ],
-        ids=["no-command", "missing-file", "bad-int", "unknown-command", "selftest-guard"],
+        ids=["no-command", "missing-file", "bad-int", "unknown-command", "selftest-guard", "tower-guard", "invariants-guard"],
     )
     def test_usage_error_exit_1(self, argv, capsys):
         # exit 2 is for flagged output, so a usage error is an input error
@@ -426,6 +426,22 @@ class TestParser:
     def test_help_exit_0(self, capsys):
         assert main(["--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: iwatower")
+
+    def test_readme_options_table_matches_help(self, capsys):
+        # every subcommand has one row, whose options are those its --help prints
+        lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+        start = lines.index("| Subcommand | Arguments | Options |") + 2
+        table = {}
+        for line in itertools.takewhile(lambda l: l.startswith("|"), lines[start:]):
+            command, _, options = (cell.strip() for cell in line.strip("|").split("|"))
+            table[command.strip("`")] = set(re.findall(r"--[\w-]+", options))
+        main(["--help"])
+        commands = re.search(r"\{([\w,]+)\}", capsys.readouterr().out).group(1).split(",")
+        printed = {}
+        for command in commands:
+            assert main([command, "--help"]) == 0
+            printed[command] = set(re.findall(r"--[\w-]+", capsys.readouterr().out)) - {"--help"}
+        assert table == printed
 
 
 class TestOutOfRange:

@@ -187,7 +187,7 @@ class TestReportRecord:
 
     def test_seeded_roundtrip(self):
         # every slot and window_bound None, 0 or nonzero; residuals empty or
-        # not.  A report with a negative mu, lam, rank or rank_over_h is refused
+        # not.  A report with a negative mu, lam, rank, rank_over_h or mu_h is refused
         rng = random.Random(20261018)
 
         def value(kind):
@@ -208,19 +208,19 @@ class TestReportRecord:
                     verdict=rng.choice(["", "window-consistent"]),
                     **slots,
                 )
-                if any((slots[name] or 0) < 0 for name in ("mu", "lam", "rank", "rank_over_h")):
+                if any((slots[name] or 0) < 0 for name in ("mu", "lam", "rank", "rank_over_h", "mu_h")):
                     with pytest.raises(ValueError, match="negative record field"):
                         parse_report(format_report(rep))
                 else:
                     assert parse_report(format_report(rep)) == rep
 
-    @pytest.mark.parametrize("slot", ["mu", "lam", "rank", "rank_over_h"])
+    @pytest.mark.parametrize("slot", ["mu", "lam", "rank", "rank_over_h", "mu_h"])
     def test_negative_integral_slot_rejected(self, slot):
         with pytest.raises(ValueError, match=f"negative record field {slot} = -1"):
             parse_report(f"p=3\nd=2\nmethod=fitted\n{slot}=-1\n")
 
-    def test_negative_l0_and_mu_h_accepted(self):
-        rep = InvariantReport(p=3, d=2, method="fitted", l0=-2, mu_h=-1)
+    def test_negative_l0_accepted(self):
+        rep = InvariantReport(p=3, d=2, method="fitted", l0=-2)
         assert parse_report(format_report(rep)) == rep
 
     def test_hash_in_value_roundtrip(self):
@@ -237,6 +237,14 @@ class TestKTable:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             parse_ktable("x\ty\n")
+
+    def test_repeated_pair_rejected(self):
+        head = "field_label\ti\tdecomposition\tsource\n"
+        rows = ["F\t2\t3\ta\n", "F\t3\t3\tb\n", "G\t2\t3\tc\n"]
+        assert [(r.field_label, r.i) for r in parse_ktable(head + "".join(rows))] == [("F", 2), ("F", 3), ("G", 2)]
+        for repeat in ("F\t2\t9\td\n", "F\t02\t3\ta\n"):
+            with pytest.raises(ValueError, match="repeated K-table row for field 'F' with i = 2"):
+                parse_ktable(head + "".join(rows) + repeat)
 
     @pytest.mark.parametrize("indent", [" ", "  ", "\t"])
     def test_indented_comment_lines_skipped(self, indent):

@@ -384,11 +384,18 @@ class TestModuleValidation:
             (2, (({0: 1, 5: 2},),), "relation key 5 is not a group element 0..2"),
             (0, (), "precision N = 0 must be at least 1"),
             (-1, (), "precision N = -1 must be at least 1"),
+            (2, (({0: 3.5},),), "3.5 is not an integer"),
         ],
     )
     def test_bad_presentation_rejected(self, N, relations, message):
         with pytest.raises(ValueError, match=message):
             FiniteGroupRingModule(cyclic_group(3), Prime(3), N, relations=relations)
+
+    @pytest.mark.parametrize("c", [3.0, np.int64(3)], ids=["float", "int64"])
+    def test_coefficient_equal_to_an_int_counts_as_that_int(self, c):
+        M = FiniteGroupRingModule(cyclic_group(3), Prime(3), 2, 1, (({0: c},),))
+        assert M.relations == (({0: 3},),) and type(M.relations[0][0][0]) is int
+        assert M.shape_of().torsion_exponents == (1,) * 3
 
     def test_shape_of_group_ring(self):
         G = cyclic_group(9)

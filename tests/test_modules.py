@@ -216,6 +216,12 @@ class TestSnf:
         assert snf([[x, 1]], p, 4) == snf([[x % 3**4, 1]], p, 4)
         assert snf([[x, 3], [0, 9]], p, 4) == snf([[x % 3**4, 3], [0, 9]], p, 4)
 
+    def test_entries_read_as_integers(self):
+        # an entry equal to an integer counts as that integer; 3.5 is not read as 3
+        assert snf([[3.0, np.int64(9)]], Prime(3), 2) == snf([[3, 9]], Prime(3), 2)
+        with pytest.raises(ValueError, match="3.5 is not an integer"):
+            snf([[3.5]], Prime(3), 2)
+
     def test_ragged_rows_raise(self):
         # rows that are not sequences of one length, and a 1-D input,
         # name the first row that breaks the rule
@@ -755,19 +761,12 @@ class TestTower:
     def test_precision_flagging(self, p3):
         ctx = PrecisionContext(p3, 3, 1, 30)
         M = ModulePresentation(ctx, 1, ((poly(ctx, [9]),),))  # exponent 2 = N - 1
-        data = tower(M, 1, guard=2)
+        data = tower(M, 1)
         assert all(t.flags == ("PrecisionMargin",) for t in data)
 
     def test_negative_n_max_rejected(self, ctx3):
         with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
             tower(cyclic_module(ctx3, [-3, 1]), -1)
-
-    @pytest.mark.parametrize("guard", [1, 0, -5])
-    def test_guard_below_2_rejected(self, ctx3, guard):
-        # every torsion exponent is below N, so its margin is >= 1 and a
-        # guard below 2 could never flag one
-        with pytest.raises(ValueError, match=f"guard must be >= 2, got {guard}"):
-            tower(cyclic_module(ctx3, [27]), 1, guard=guard)
 
     def test_overflow_flagged_not_raised(self, ctx3):
         M = cyclic_module(ctx3, [9])

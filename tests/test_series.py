@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 import iwatower.series
@@ -75,6 +77,19 @@ class TestSeriesElement:
         t = SeriesElement.variable(ctx3)
         with pytest.raises(AttributeError):
             t.coefficients = {}
+
+    @pytest.mark.parametrize("c", [np.int64(3**20 + 1), float(3**20 + 1), Fraction(3**20 + 1)], ids=["int64", "float", "fraction"])
+    def test_coefficient_equal_to_an_int_counts_as_that_int(self, p3, c):
+        # an int64 square of 3^20 + 1 wraps above 2^63; the Python-int one does not
+        ctx = PrecisionContext(p3, 30, 1, 4)
+        f = SeriesElement(ctx, {(0,): c})
+        assert type(f.coefficients[(0,)]) is int
+        assert (f * f).coefficients == {(0,): 6973568803}
+
+    @pytest.mark.parametrize("c", [2.5, Fraction(1, 2), "3"], ids=["2.5", "1/2", "str-3"])
+    def test_non_integer_coefficient_rejected(self, ctx3, c):
+        with pytest.raises(ValueError, match="is not an integer"):
+            SeriesElement(ctx3, {(0,): c, (1,): 1})
 
 
 class TestRepr:
@@ -214,7 +229,7 @@ class TestWeierstrassPrepare:
 
     def test_pure_p_power_near_precision(self, p3):
         ctx = PrecisionContext(p3, 4, 1, 16)
-        f = poly(ctx, [0, 27])  # content 3 >= N - guard
+        f = poly(ctx, [0, 27])  # content 3 = N - 1
         with pytest.raises(PrecisionExhausted):
             weierstrass_prepare(f)
 
