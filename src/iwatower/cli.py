@@ -32,7 +32,7 @@ from .formats import (
 from .invariants import GrowthModel, exact_invariants_d1, fit_growth
 from .ktheory import BUILTIN_KTABLE, ExtensionDescriptor, predict_growth, vanishing_propagation
 from .modules import DEFAULT_DIMENSION_BOUND, tower
-from .padic import Prime
+from .padic import Prime, at_least
 from .selftest import DEFAULT_SEED, run_selftest
 
 EXIT_OK = 0
@@ -75,12 +75,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    if args.n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {args.n_max}")
+    n_max = at_least(args.n_max, 0, "n_max")
     report = parse_report(_read(args.report_file))
     ext = parse_descriptor(_read(args.descriptor_file))
     prediction = predict_growth(
-        report, ext, Prime(args.p), args.i, range(args.n_max + 1)
+        report, ext, Prime(args.p), args.i, range(n_max + 1)
     )
     _emit(format_prediction_tsv(prediction), args.out)
     return EXIT_OK

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import GroupTooLarge, HypothesisViolated
 from .modules import AbelianShape, snf
-from .padic import Prime, as_int, prime_base
+from .padic import Prime, as_int, at_least, prime_base
 
 DEFAULT_ORDER_CAP = 243
 
@@ -176,6 +176,7 @@ class FiniteGroup:
 
 
 def cyclic_group(k: int) -> FiniteGroup:
+    k = at_least(k, 1, "k")
     return FiniteGroup([[*range(a, k), *range(a)] for a in range(k)], f"C{k}")
 
 
@@ -248,8 +249,8 @@ class FiniteGroupRingModule:
     def __post_init__(self):
         if self.group.order != 1 and prime_base(self.group.order) != self.p.p:
             raise ValueError("group order must be a power of p")
-        if self.N < 1:
-            raise ValueError(f"precision N = {self.N} must be at least 1")
+        object.__setattr__(self, "N", at_least(self.N, 1, "N"))
+        object.__setattr__(self, "generators", at_least(self.generators, 1, "generators"))
         elements = range(self.group.order)
         rels = tuple(tuple({s: as_int(c) for s, c in dict(e).items()} for e in row) for row in self.relations)
         for row in rels:

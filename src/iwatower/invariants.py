@@ -23,7 +23,7 @@ from .errors import (
     NotSquare,
 )
 from .modules import ModulePresentation
-from .padic import Prime
+from .padic import Prime, as_int, at_least
 from .series import char_poly, weierstrass_prepare
 
 VERDICT_CONSISTENT = "window-consistent"
@@ -75,10 +75,9 @@ def mu_of_mod_pn(alphas, r: int, n: int) -> int:
     """mu of M/p^n for a module pseudo-isomorphic (on its p-power
     torsion) to a sum of cyclic p-power pieces with exponents `alphas`
     and of rank r: n*r + sum_i min(n, alpha_i)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if r < 0 or any(a < 1 for a in alphas):
-        raise ValueError("rank must be >= 0 and exponents >= 1")
+    n = at_least(n, 1, "n")
+    r = at_least(r, 0, "rank r")
+    alphas = [at_least(a, 1, "exponent") for a in alphas]
     return n * r + sum(min(n, a) for a in alphas)
 
 
@@ -144,7 +143,8 @@ class GrowthModel:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown model family {self.family!r}")
-        Prime(self.p)
+        object.__setattr__(self, "p", Prime(self.p).p)
+        object.__setattr__(self, "d", as_int(self.d))
         _FAMILIES[self.family].check_d(self.d, self.family)
 
 
@@ -264,9 +264,10 @@ def fit_growth(data, model: GrowthModel, n0: int = 1) -> InvariantReport:
     """
     spec = _FAMILIES[model.family]
     p, d = model.p, model.d
+    n0 = as_int(n0)
     data = sorted(data, key=lambda t: t.n)
-    if data and data[0].n < 0:
-        raise ValueError(f"tower levels must be >= 0, got n = {data[0].n}")
+    for t in data:
+        at_least(t.n, 0, "tower levels")
     solvable = [t for t in data if not t.flagged and t.n >= n0]
     terms = spec.main + (("c", spec.c),)
     u = len(terms)

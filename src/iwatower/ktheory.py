@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import ResidueCharacteristicP
 from .invariants import _FAMILIES, InvariantReport
-from .padic import Prime, check_twist, h1_local_order, ord_p, prime_base
+from .padic import Prime, as_int, at_least, h1_local_order, ord_p, prime_base
 
 QL_ASSUMPTION = (
     "assumes: p-part of K_{2i-2}(O_F) identified with "
@@ -45,8 +45,8 @@ class KGroupRecord:
     source: str = ""
 
     def __post_init__(self):
-        check_twist(self.i)
-        decomp = tuple(int(x) for x in self.order_decomposition)
+        object.__setattr__(self, "i", at_least(self.i, 2, "twist i"))
+        decomp = tuple(as_int(x) for x in self.order_decomposition)
         for x in decomp:
             if prime_base(x) is None:
                 raise ValueError(f"decomposition entry {x} is not a prime power")
@@ -63,6 +63,7 @@ class LocalPrimeDatum:
     ramified: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "q", as_int(self.q))
         if prime_base(self.q) is None:
             raise ValueError(f"q = {self.q} is not a prime power")
 
@@ -82,6 +83,7 @@ class ExtensionDescriptor:
     def __post_init__(self):
         if self.kind not in _KIND_LAWS:
             raise ValueError(f"unknown extension kind {self.kind!r}")
+        object.__setattr__(self, "d", as_int(self.d))
         _FAMILIES[_KIND_LAWS[self.kind][0]].check_d(self.d, f"{self.kind} kind")
         prs = tuple(self.ramified_primes)
         if self.kind in ("Zp", "Zpd") and any(v.ramified for v in prs):
@@ -105,9 +107,7 @@ def change_of_s_order(log_h2_sp: int, locals_, i: int, p: Prime) -> int:
     """log_p |H^2 over the larger set S|: orders multiply along the
     change-of-S short exact sequence, each prime outside p contributing
     its local H^1-order."""
-    if log_h2_sp < 0:
-        raise ValueError("log_h2_sp must be >= 0")
-    total = log_h2_sp
+    total = at_least(log_h2_sp, 0, "log_h2_sp")
     for v in locals_:
         if v.q % p.p == 0:
             raise ResidueCharacteristicP(
@@ -200,13 +200,12 @@ def predict_growth(
     theorems provide no constants).  The report's p and d must be those
     of the prediction, and every level at least 0."""
     p.require_odd()
-    check_twist(i)
+    i = at_least(i, 2, "twist i")
     if inv.p != p.p or inv.d != ext.d:
         raise ValueError(
             f"report has p = {inv.p}, d = {inv.d}; prediction has p = {p.p}, d = {ext.d}"
         )
-    if any(n < 0 for n in n_range):
-        raise ValueError(f"levels must be >= 0, got n = {min(n_range)}")
+    n_range = [at_least(n, 0, "levels") for n in n_range]
     family, torsion_type, theorem_tag = _KIND_LAWS[ext.kind]
     spec = _FAMILIES[family]
     slots = {name: inv.slot(name) for name, _ in spec.main}
@@ -239,11 +238,8 @@ def predict_growth(
 def mod_p_h2_dimension(cl_sp_p_rank: int, s_p_count: int) -> int:
     """F_p-dimension of the mod-p second cohomology from the p-rank of
     the S_p-class group and the number of primes above p."""
-    if s_p_count < 1:
-        raise ValueError(f"s_p_count must be >= 1, got {s_p_count}")
-    if cl_sp_p_rank < 0:
-        raise ValueError(f"cl_sp_p_rank must be >= 0, got {cl_sp_p_rank}")
-    return cl_sp_p_rank + s_p_count - 1
+    s_p_count = at_least(s_p_count, 1, "s_p_count")
+    return at_least(cl_sp_p_rank, 0, "cl_sp_p_rank") + s_p_count - 1
 
 
 #: stored K-group records shipped with the package.

@@ -29,7 +29,7 @@ from itertools import product
 from math import gcd, prod
 
 from .errors import ContextMismatch, DimensionOverflow, NotSquare, PrecisionExhausted
-from .padic import Prime, as_int, ord_p
+from .padic import Prime, as_int, at_least, ord_p
 from .series import PrecisionContext, SeriesElement, char_poly, omega_int_coeffs
 
 #: default cap on the number of Z/p^N basis elements of a coinvariant.
@@ -71,8 +71,7 @@ class ModulePresentation:
     relations: tuple  # tuple of length-k tuples of SeriesElement
 
     def __post_init__(self):
-        if self.generators < 1:
-            raise ValueError("need at least one generator")
+        object.__setattr__(self, "generators", at_least(self.generators, 1, "generators"))
         rels = tuple(tuple(row) for row in self.relations)
         for row in rels:
             if len(row) != self.generators:
@@ -344,8 +343,8 @@ def coinvariants(
     variables in U keep exponents < p^n.  `dimension_bound` caps the sum
     over the summands of k * prod deg, over all d variables for a summand
     on k generators, or k p^(nd) for one with mu > 0."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = at_least(n, 0, "n")
+    dimension_bound = at_least(dimension_bound, 0, "dimension_bound")
     ctx = M.context
     p, N, d = ctx.p.p, ctx.N, ctx.d
     plans, basis = [], 0
@@ -399,10 +398,7 @@ def tower(
     independent pure computations; per-level failures are recorded as
     flags and the run continues.  A level with a torsion exponent of
     N - 1, the largest below N, is flagged PrecisionMargin."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if dimension_bound < 0:
-        raise ValueError(f"dimension_bound must be >= 0, got {dimension_bound}")
+    n_max = at_least(n_max, 0, "n_max")
 
     def level(n: int) -> TowerDatum:
         try:

@@ -42,6 +42,16 @@ def as_int(x) -> int:
     return n
 
 
+def at_least(x, least: int, name: str, error=ValueError) -> int:
+    """The parameter `name` read by the as_int rule: a ValueError naming
+    it when x is not an integer, and `error` when x is below `least`."""
+    if (n := int(x)) != x:
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    if n < least:
+        raise error(f"{name} must be >= {least}, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class Prime:
     """A checked prime.  p = 2 is accepted here; lemma-backed operations
@@ -50,6 +60,7 @@ class Prime:
     p: int
 
     def __post_init__(self):
+        object.__setattr__(self, "p", as_int(self.p))
         if prime_base(self.p) != self.p:
             raise ValueError(f"not a prime: {self.p}")
 
@@ -64,7 +75,7 @@ class Prime:
 
 def ord_p(x: int, p: Prime) -> int:
     """Largest e with p^e | x, for nonzero x.  Sign-invariant."""
-    if x == 0:
+    if (x := as_int(x)) == 0:
         raise ZeroInput("ord_p(0) is +infinity; branch before calling")
     x = abs(x)
     e = 0
@@ -83,10 +94,8 @@ def valuation_tower(b: int, p: Prime, n: int, checked: bool = True) -> int:
     against exact exponentiation for n <= CHECKED_TOWER_BOUND.
     """
     p.require_odd()
-    if b < 2:
-        raise HypothesisViolated(f"b must be >= 2, got {b}")
-    if n < 0:
-        raise HypothesisViolated(f"n must be >= 0, got {n}")
+    b = at_least(b, 2, "b", HypothesisViolated)
+    n = at_least(n, 0, "n", HypothesisViolated)
     a = ord_p(b - 1, p)
     if a == 0:
         raise HypothesisViolated(f"ord_{p.p}({b}-1) = 0; b must be 1 mod {p.p}")
@@ -98,23 +107,15 @@ def valuation_tower(b: int, p: Prime, n: int, checked: bool = True) -> int:
     return value
 
 
-def check_twist(i: int):
-    if i < 2:
-        raise ValueError(f"twist i must be >= 2, got {i}")
-
-
-def _check_local(q: int, i: int, p: Prime):
-    check_twist(i)
+def h1_local_order(q: int, i: int, p: Prime) -> int:
+    """log_p of the order of the local H^1 term for a residue field of
+    cardinality q and twist i: ord_p(q^{i-1} - 1)."""
+    i = at_least(i, 2, "twist i")
+    q = as_int(q)
     if prime_base(q) is None:
         raise HypothesisViolated(f"q must be a prime power >= 2, got {q}")
     if gcd(q, p.p) != 1:
         raise ResidueCharacteristicP(f"p = {p.p} divides residue cardinality q = {q}")
-
-
-def h1_local_order(q: int, i: int, p: Prime) -> int:
-    """log_p of the order of the local H^1 term for a residue field of
-    cardinality q and twist i: ord_p(q^{i-1} - 1)."""
-    _check_local(q, i, p)
     return ord_p(pow(q, i - 1) - 1, p)
 
 
@@ -127,9 +128,8 @@ def h1_local_order_tower(q: int, i: int, p: Prime, n: int) -> int:
     p-power exponents create no p-divisibility.
     """
     p.require_odd()
-    _check_local(q, i, p)
-    if n < 0:
-        raise HypothesisViolated(f"n must be >= 0, got {n}")
-    if ord_p(pow(q, i - 1) - 1, p) == 0:
+    a = h1_local_order(q, i, p)
+    n = at_least(n, 0, "n", HypothesisViolated)
+    if a == 0:
         return 0
-    return valuation_tower(pow(q, i - 1), p, n)
+    return valuation_tower(pow(as_int(q), as_int(i) - 1), p, n)

@@ -19,7 +19,7 @@ from .errors import (
     NotSquare,
     PrecisionExhausted,
 )
-from .padic import Prime, as_int, ord_p
+from .padic import Prime, as_int, at_least, ord_p
 
 #: largest matrix size accepted by char_poly (cofactor expansion).
 CHAR_POLY_SIZE_BOUND = 8
@@ -37,12 +37,8 @@ class PrecisionContext:
 
     def __post_init__(self):
         self.p.require_odd()
-        if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {self.N}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.D < 1:
-            raise ValueError(f"D must be >= 1, got {self.D}")
+        for name, least in (("N", 2), ("d", 1), ("D", 1)):
+            object.__setattr__(self, name, at_least(getattr(self, name), least, name))
 
     @property
     def modulus(self) -> int:
@@ -222,8 +218,7 @@ def omega(context: PrecisionContext, n: int, j: int = 0) -> SeriesElement:
     """(1 + T_j)^{p^n} - 1: monic distinguished of degree p^n in T_j;
     generates the relative augmentation ideal of the level-n subgroup
     in variable j."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = at_least(n, 0, "n")
     q = context.p.p ** n
     if q > context.D:
         raise DegreeOverflow(f"deg omega({n}) = {q} exceeds D = {context.D}")

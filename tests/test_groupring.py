@@ -382,14 +382,19 @@ class TestModuleValidation:
         [
             (2, (({-1: 1},),), "relation key -1 is not a group element 0..2"),
             (2, (({0: 1, 5: 2},),), "relation key 5 is not a group element 0..2"),
-            (0, (), "precision N = 0 must be at least 1"),
-            (-1, (), "precision N = -1 must be at least 1"),
+            (0, (), "N must be >= 1, got 0"),
+            (-1, (), "N must be >= 1, got -1"),
             (2, (({0: 3.5},),), "3.5 is not an integer"),
         ],
     )
     def test_bad_presentation_rejected(self, N, relations, message):
         with pytest.raises(ValueError, match=message):
             FiniteGroupRingModule(cyclic_group(3), Prime(3), N, relations=relations)
+
+    @pytest.mark.parametrize("k", [-1, 0])
+    def test_generator_count_below_1_rejected(self, k):
+        with pytest.raises(ValueError, match=f"generators must be >= 1, got {k}"):
+            FiniteGroupRingModule(cyclic_group(3), Prime(3), 2, generators=k)
 
     @pytest.mark.parametrize("c", [3.0, np.int64(3)], ids=["float", "int64"])
     def test_coefficient_equal_to_an_int_counts_as_that_int(self, c):

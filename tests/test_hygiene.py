@@ -3,9 +3,11 @@ the package imports is used in that module, every private top-level name
 is read somewhere in the package, the package has no `assert`
 statement, which `python -O` strips, and no `functools.cache` or
 `functools.lru_cache`, whose entries outlive the objects they describe:
-a cache lives on its object.  The package has no runtime dependency: it
-imports only the standard library and itself, so neither importing it
-nor running the selftest's oracles loads sympy or numpy."""
+a cache lives on its object.  Range checks on integer parameters are
+stated once, by `padic.at_least`: no other module words one.  The
+package has no runtime dependency: it imports only the standard library
+and itself, so neither importing it nor running the selftest's oracles
+loads sympy or numpy."""
 
 import ast
 import os
@@ -185,6 +187,33 @@ def test_scan_flags_a_functools_cache():
         "    return self.cache, self.lru_cache, functools.reduce, reduce, cache\n"
     )
     assert functools_caches(source) == [3, 4, 7]
+
+
+def bound_messages(source: str) -> list:
+    """Line numbers of the f-strings in `source` whose text holds
+    "must be >=", the wording of a hand-written range check."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.JoinedStr)
+        and any(isinstance(v, ast.Constant) and "must be >=" in v.value for v in node.values)
+    )
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "padic.py"], ids=lambda p: p.name)
+def test_range_checks_only_in_padic(path):
+    assert bound_messages(path.read_text()) == []
+
+
+def test_scan_flags_a_bound_message():
+    source = (
+        "def f(n, name):\n"
+        "    if n < 0:\n"
+        "        raise ValueError(f'n must be >= 0, got {n}')\n"
+        "    g = 'must be >= 0'\n"
+        "    return f'{name} must be  >= 1', f'{name} must be >= {n}'\n"
+    )
+    assert bound_messages(source) == [3, 5]
 
 
 def outside_imports(source: str) -> list:

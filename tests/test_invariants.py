@@ -212,7 +212,7 @@ class TestFitGrowth:
 
     def test_level_below_0_rejected(self):
         data = [TowerDatum(n, 3**n, 0, n) for n in (-1, 1, 2, 3)]
-        with pytest.raises(ValueError, match="tower levels must be >= 0, got n = -1"):
+        with pytest.raises(ValueError, match="tower levels must be >= 0, got -1"):
             fit_growth(data, GrowthModel("Iwasawa_d1", 3, 1), n0=0)
 
     def test_matches_reference(self):

@@ -212,8 +212,13 @@ class TestPredictGrowth:
 
     def test_level_below_0_rejected(self):
         rep = InvariantReport(p=3, d=1, method="fitted", mu=2, lam=1)
-        with pytest.raises(ValueError, match="levels must be >= 0, got n = -1"):
+        with pytest.raises(ValueError, match="levels must be >= 0, got -1"):
             predict_growth(rep, ExtensionDescriptor("Zp", 1), Prime(3), 2, [2, -1])
+
+    def test_levels_read_once(self):
+        rep = InvariantReport(p=3, d=1, method="exact", mu=0, lam=1)
+        rows = lambda levels: predict_growth(rep, ExtensionDescriptor("Zp", 1), Prime(3), 2, levels).rows
+        assert rows(n for n in range(3)) == rows(range(3)) and len(rows(range(3))) == 3
 
     def test_asserted_hypotheses_carried(self):
         rep = InvariantReport(p=3, d=2, method="fitted", rank_over_h=1)

@@ -899,7 +899,7 @@ C2 = PrecisionContext(Prime(3), 6, 2, 16)
 @pytest.mark.parametrize(
     "call, error, match",
     [
-        pytest.param(lambda: ModulePresentation(C1, 0, ()), ValueError, "at least one generator", id="no-generators"),
+        pytest.param(lambda: ModulePresentation(C1, 0, ()), ValueError, "generators must be >= 1, got 0", id="no-generators"),
         pytest.param(
             lambda: ModulePresentation(C1, 2, ((SeriesElement.variable(C1),),)), ValueError, "relation length",
             id="relation-length",

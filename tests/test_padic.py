@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -5,15 +6,34 @@ from hypothesis import strategies as st
 
 import iwatower.padic
 from iwatower import (
+    ExtensionDescriptor,
+    FiniteGroupRingModule,
+    GrowthModel,
     HypothesisViolated,
+    InvariantReport,
     IwatowerError,
+    KGroupRecord,
+    LocalPrimeDatum,
+    ModulePresentation,
     OddPrimeRequired,
+    PrecisionContext,
     Prime,
     ResidueCharacteristicP,
+    SeriesElement,
+    TowerDatum,
     ZeroInput,
+    change_of_s_order,
+    coinvariants,
+    cyclic_group,
+    fit_growth,
     h1_local_order,
     h1_local_order_tower,
+    mod_p_h2_dimension,
+    mu_of_mod_pn,
+    omega,
     ord_p,
+    predict_growth,
+    tower,
     valuation_tower,
 )
 from iwatower.padic import prime_base
@@ -176,3 +196,77 @@ class TestH1LocalOrder:
 def test_input_checks(call, match):
     with pytest.raises(HypothesisViolated, match=match):
         call()
+
+
+P3 = Prime(3)
+CTX = PrecisionContext(P3, 6, 1, 16)
+LINEAR = ModulePresentation(CTX, 1, ((SeriesElement.univariate(CTX, [-3, 1]),),))
+D1 = InvariantReport(3, 1, "exact", mu=1, lam=1)
+TOWER = [TowerDatum(n, 3**n + n, 0, 0) for n in range(5)]
+
+
+def predict(report=D1, kind="Zp", d=1, i=2, levels=range(3)):
+    return predict_growth(report, ExtensionDescriptor(kind, d), P3, i, levels).rows
+
+
+@pytest.mark.parametrize(
+    "call, good, bad, match",
+    [
+        pytest.param(lambda x: Prime(x), 3, 2.5, "2.5 is not an integer", id="Prime-p"),
+        pytest.param(lambda x: ord_p(x, P3), 9, 4.5, "4.5 is not an integer", id="ord_p-x"),
+        pytest.param(lambda x: valuation_tower(x, P3, 2), 4, 4.5, "b must be an integer", id="valuation_tower-b"),
+        pytest.param(lambda x: valuation_tower(4, P3, x), 2, 2.5, "n must be an integer", id="valuation_tower-n"),
+        pytest.param(lambda x: h1_local_order(x, 2, P3), 4, 2.5, "2.5 is not an integer", id="h1_local_order-q"),
+        pytest.param(lambda x: h1_local_order(4, x, P3), 3, 2.5, "twist i must be an integer", id="h1_local_order-i"),
+        pytest.param(lambda x: h1_local_order_tower(4, 2, P3, x), 2, 2.5, "n must be an integer", id="h1_tower-n"),
+        pytest.param(lambda x: PrecisionContext(P3, x, 1, 10), 4, 4.5, "N must be an integer", id="context-N"),
+        pytest.param(lambda x: PrecisionContext(P3, 6, x, 10), 1, 1.5, "d must be an integer", id="context-d"),
+        pytest.param(lambda x: PrecisionContext(P3, 6, 1, x), 10, 9.5, "D must be an integer", id="context-D"),
+        pytest.param(lambda x: omega(CTX, x), 1, 1.5, "n must be an integer", id="omega-n"),
+        pytest.param(lambda x: ModulePresentation(CTX, x, ()), 2, 1.5, "generators must be an integer", id="presentation-k"),
+        pytest.param(lambda x: coinvariants(LINEAR, x), 1, 1.5, "n must be an integer", id="coinvariants-n"),
+        pytest.param(
+            lambda x: coinvariants(LINEAR, 1, x), 9, 9.5, "dimension_bound must be an integer", id="coinvariants-bound"
+        ),
+        pytest.param(lambda x: tower(LINEAR, x), 2, 2.5, "n_max must be an integer", id="tower-n_max"),
+        pytest.param(lambda x: cyclic_group(x), 3, 3.5, "k must be an integer", id="cyclic_group-k"),
+        pytest.param(
+            lambda x: FiniteGroupRingModule(cyclic_group(3), P3, x).shape_of(), 2, 2.5, "N must be an integer",
+            id="group-ring-N",
+        ),
+        pytest.param(
+            lambda x: FiniteGroupRingModule(cyclic_group(3), P3, 2, x).shape_of(), 2, 1.5,
+            "generators must be an integer", id="group-ring-k",
+        ),
+        pytest.param(lambda x: mu_of_mod_pn([x], 1, 3), 2, 1.5, "exponent must be an integer", id="mu_of_mod_pn-alpha"),
+        pytest.param(lambda x: mu_of_mod_pn([2], x, 3), 1, 1.5, "rank r must be an integer", id="mu_of_mod_pn-r"),
+        pytest.param(lambda x: mu_of_mod_pn([2], 1, x), 3, 1.5, "n must be an integer", id="mu_of_mod_pn-n"),
+        pytest.param(lambda x: GrowthModel("Iwasawa_d1", x, 1), 3, 3.5, "3.5 is not an integer", id="GrowthModel-p"),
+        pytest.param(lambda x: GrowthModel("LiangLim", 3, x), 2, 1.5, "1.5 is not an integer", id="GrowthModel-d"),
+        pytest.param(
+            lambda x: fit_growth(TOWER, GrowthModel("Iwasawa_d1", 3, 1), n0=x), 1, 1.5, "1.5 is not an integer",
+            id="fit_growth-n0",
+        ),
+        pytest.param(lambda x: KGroupRecord("F", x, (3,)), 2, 2.5, "twist i must be an integer", id="KGroupRecord-i"),
+        pytest.param(lambda x: KGroupRecord("F", 2, (x, 9)), 2, 2.5, "2.5 is not an integer", id="KGroupRecord-order"),
+        pytest.param(lambda x: LocalPrimeDatum("v", x), 4, 4.5, "4.5 is not an integer", id="LocalPrimeDatum-q"),
+        pytest.param(
+            lambda x: predict(InvariantReport(3, 2, "exact", mu=1, l0=1), "Zpd", x), 2, 2.5, "2.5 is not an integer",
+            id="ExtensionDescriptor-d",
+        ),
+        pytest.param(lambda x: predict(i=x), 2, 2.5, "twist i must be an integer", id="predict_growth-i"),
+        pytest.param(lambda x: predict(levels=[0, x]), 2, 1.5, "levels must be an integer", id="predict_growth-n"),
+        pytest.param(lambda x: change_of_s_order(x, (), 2, P3), 2, 1.5, "log_h2_sp must be an integer", id="change_of_s"),
+        pytest.param(lambda x: mod_p_h2_dimension(x, 1), 2, 1.5, "cl_sp_p_rank must be an integer", id="mod_p_h2-rank"),
+        pytest.param(lambda x: mod_p_h2_dimension(1, x), 2, 1.5, "s_p_count must be an integer", id="mod_p_h2-count"),
+    ],
+)
+def test_integer_parameters(call, good, bad, match):
+    """Each public integer parameter reads a value equal to an integer
+    as that int, so the result, repr included, is the int's; any other
+    value is a ValueError naming the parameter (or, for a parameter
+    with no bound, the value)."""
+    want = repr(call(good))
+    assert repr(call(float(good))) == repr(call(np.int64(good))) == want
+    with pytest.raises(ValueError, match=match):
+        call(bad)
