@@ -160,16 +160,10 @@ def parse_module_file(text: str, N: int = None, D: int = None) -> ModulePresenta
     header = {k: int(record[k]) for k in _HEADER_KEYS}
     header.update((k, v) for k, v in (("N", N), ("D", D)) if v is not None)
     context = PrecisionContext(Prime(header["p"]), header["N"], header["d"], header["D"])
-    k = header["generators"]
     relations = []
     for value in record["relation"]:
-        entries = [e.strip() for e in value.split(";")]
-        if len(entries) != k:
-            raise ValueError(
-                f"relation has {len(entries)} entries, expected {k}: {value!r}"
-            )
-        relations.append(tuple(parse_polynomial(e, context) for e in entries))
-    return ModulePresentation(context, k, tuple(relations))
+        relations.append(tuple(parse_polynomial(e.strip(), context) for e in value.split(";")))
+    return ModulePresentation(context, header["generators"], tuple(relations))
 
 
 def format_module_file(M: ModulePresentation) -> str:

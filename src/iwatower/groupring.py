@@ -197,7 +197,7 @@ def semidirect_c3_c9() -> FiniteGroup:
 def heisenberg(p: int = 3) -> FiniteGroup:
     """Upper unitriangular 3x3 matrices over Z/p; elements (a, b, c),
     numbered (ap + b)p + c, with (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b')."""
-    r = range(p)
+    r = range(p := at_least(p, 2, "p"))
     table = [
         [((a + x) % p * p + (b + y) % p) * p + (c + z + a * y) % p for x in r for y in r for z in r]
         for a in r for b in r for c in r
@@ -255,7 +255,7 @@ class FiniteGroupRingModule:
         rels = tuple(tuple({s: as_int(c) for s, c in dict(e).items()} for e in row) for row in self.relations)
         for row in rels:
             if len(row) != self.generators:
-                raise ValueError("relation length does not match generator count")
+                raise ValueError(f"relation length {len(row)} does not match generator count {self.generators}")
             bad = [s for entry in row for s in entry if s not in elements]
             if bad:
                 raise ValueError(f"relation key {bad[0]!r} is not a group element 0..{elements[-1]}")

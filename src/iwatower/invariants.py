@@ -20,7 +20,6 @@ from .errors import (
     InsufficientData,
     MissingInvariant,
     NonIntegralCoefficient,
-    NotSquare,
 )
 from .modules import ModulePresentation
 from .padic import Prime, as_int, at_least
@@ -50,6 +49,11 @@ class InvariantReport:
     window_bound: Fraction = None
     verdict: str = ""
 
+    def __post_init__(self):
+        for name in ("p", "d", "mu", "lam", "l0", "rank", "rank_over_h", "mu_h"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, as_int(value))
+
     def slot(self, name: str):
         value = getattr(self, name)
         if value is None:
@@ -62,8 +66,6 @@ def exact_invariants_d1(M: ModulePresentation) -> InvariantReport:
     off the Weierstrass form of the determinant of the presentation."""
     if M.context.d != 1:
         raise ValueError("exact invariants require d = 1")
-    if not M.is_square():
-        raise NotSquare("presentation matrix is not square")
     det = char_poly(M.relation_matrix())
     wf = weierstrass_prepare(det)
     return InvariantReport(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ResidueCharacteristicP
 from .invariants import _FAMILIES, InvariantReport
 from .padic import Prime, as_int, at_least, h1_local_order, ord_p, prime_base
 
@@ -109,10 +108,6 @@ def change_of_s_order(log_h2_sp: int, locals_, i: int, p: Prime) -> int:
     its local H^1-order."""
     total = at_least(log_h2_sp, 0, "log_h2_sp")
     for v in locals_:
-        if v.q % p.p == 0:
-            raise ResidueCharacteristicP(
-                f"prime {v.label} has residue characteristic p = {p.p}"
-            )
         total += h1_local_order(v.q, i, p)
     return total
 
@@ -141,7 +136,6 @@ def vanishing_propagation(
     whole tower: requires (a) trivial p-part of the stored base order
     and (b) every ramified prime outside p has trivial local H^1 term.
     NotCertified is a value, not an error."""
-    p.require_odd()
     conditions = []
     p_part = k_even_order_to_h2(record, p)
     conditions.append(

@@ -75,7 +75,7 @@ class ModulePresentation:
         rels = tuple(tuple(row) for row in self.relations)
         for row in rels:
             if len(row) != self.generators:
-                raise ValueError("relation length does not match generator count")
+                raise ValueError(f"relation length {len(row)} does not match generator count {self.generators}")
             for entry in row:
                 if entry.context != self.context:
                     raise ContextMismatch(
@@ -85,9 +85,6 @@ class ModulePresentation:
 
     def relation_matrix(self):
         return [list(row) for row in self.relations]
-
-    def is_square(self) -> bool:
-        return len(self.relations) == self.generators
 
     @cached_property
     def _det(self):
@@ -131,6 +128,10 @@ class TowerDatum:
     log_mod_pn: int
     flags: tuple = ()
 
+    def __post_init__(self):
+        for name in ("n", "log_torsion", "zp_rank", "log_mod_pn"):
+            object.__setattr__(self, name, as_int(getattr(self, name)))
+
     @property
     def flagged(self) -> bool:
         return bool(self.flags)
@@ -166,7 +167,7 @@ def snf(matrix, p: Prime, N: int) -> AbelianShape:
     of one length (ValueError), and with none the columns are shape[-1] or 0.
     """
     q = p.p
-    m = q ** N
+    m = q ** (N := at_least(N, 1, "N"))
     if not isinstance(matrix, _SparseRows):
         rows = list(matrix)
         cols = len(rows[0]) if rows and hasattr(rows[0], "__len__") else getattr(matrix, "shape", (0,))[-1]
@@ -283,7 +284,7 @@ def _annihilator(M: ModulePresentation):
     size <= CHAR_POLY_SIZE_BOUND whose determinant involves T_j alone and
     leads with a unit: adj(A) * A = det * I.  Row degree sums <= D keep
     the cofactor expansion from truncating.  With mu > 0 no coefficient
-    is a unit, and no Weierstrass preparation is tried."""
+    is a unit."""
     ctx, m = M.context, M.context.modulus
     if any(sum(max(e.degree(v) for e in row) for row in M.relations) > ctx.D for v in range(ctx.d)):
         return None
@@ -437,7 +438,7 @@ def torsion_size_resultant_oracle(f: SeriesElement, n: int) -> int:
         raise PrecisionExhausted("f is 0 at this precision")
     p, N = ctx.p.p, ctx.N
     # Res(w, f) = product of f over the roots of the monic w
-    res = _resultant(omega_int_coeffs(p, n), f.univariate_coeffs())
+    res = _resultant(omega_int_coeffs(p, at_least(n, 0, "n")), f.univariate_coeffs())
     if res % (p ** N) == 0:
         raise PrecisionExhausted(
             "resultant is 0 mod p^N; torsion size not determined at this precision"

@@ -19,7 +19,7 @@ from .errors import (
     ZeroInput,
 )
 
-#: Largest n for which checked mode verifies the closed form by exact
+#: Largest n for which valuation_tower verifies the closed form by exact
 #: exponentiation.  Beyond this the closed form is still returned (the
 #: lemma holds for all n); the bound only keeps verification fast.
 CHECKED_TOWER_BOUND = 6
@@ -86,12 +86,12 @@ def ord_p(x: int, p: Prime) -> int:
     return e
 
 
-def valuation_tower(b: int, p: Prime, n: int, checked: bool = True) -> int:
+def valuation_tower(b: int, p: Prime, n: int) -> int:
     """ord_p(b^{p^n} - 1) for b = 1 mod p, via the closed form a + n
     with a = ord_p(b - 1).
 
-    Requires odd p and a >= 1.  In checked mode the value is verified
-    against exact exponentiation for n <= CHECKED_TOWER_BOUND.
+    Requires odd p and a >= 1.  The value is verified against exact
+    exponentiation for n <= CHECKED_TOWER_BOUND.
     """
     p.require_odd()
     b = at_least(b, 2, "b", HypothesisViolated)
@@ -100,7 +100,7 @@ def valuation_tower(b: int, p: Prime, n: int, checked: bool = True) -> int:
     if a == 0:
         raise HypothesisViolated(f"ord_{p.p}({b}-1) = 0; b must be 1 mod {p.p}")
     value = a + n
-    if checked and n <= CHECKED_TOWER_BOUND:
+    if n <= CHECKED_TOWER_BOUND:
         direct = ord_p(pow(b, p.p ** n) - 1, p)
         if direct != value:
             raise IwatowerError(f"tower lemma violated: {direct} != {value}")

@@ -88,15 +88,13 @@ class SeriesElement:
 
     @staticmethod
     def variable(context: PrecisionContext, j: int = 0) -> "SeriesElement":
-        if not 0 <= j < context.d:
-            raise ValueError(f"variable index {j} out of range for d={context.d}")
-        exps = [0] * context.d
-        exps[j] = 1
-        return SeriesElement(context, {tuple(exps): 1})
+        return SeriesElement.univariate(context, [0, 1], j)
 
     @staticmethod
     def univariate(context: PrecisionContext, coeffs, j: int = 0) -> "SeriesElement":
         """Element from a list of coefficients in the single variable T_j."""
+        if not 0 <= (j := as_int(j)) < context.d:
+            raise ValueError(f"variable index {j} out of range for d={context.d}")
         data = {}
         for e, c in enumerate(coeffs):
             exps = [0] * context.d

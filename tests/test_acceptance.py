@@ -112,7 +112,7 @@ def test_criterion_1_valuation_lemma():
         for _ in range(50):
             b = 1 + rng.randrange(1, 10**6) * p
             n = rng.randrange(0, 7)
-            closed = valuation_tower(b, prime, n, checked=False)
+            closed = valuation_tower(b, prime, n)
             direct = ord_p(pow(b, p**n) - 1, prime)
             if closed != direct:
                 mismatches += 1

@@ -75,6 +75,13 @@ class TestTower:
         path.write_text("p: 3\n")
         assert main(["tower", str(path)]) == 1
 
+    def test_short_relation_exit_1(self, tmp_path, capsys):
+        # the presentation, not the parser, compares the two counts
+        path = tmp_path / "short.txt"
+        path.write_text(MODULE_DOC.replace("generators: 1", "generators: 2"))
+        assert main(["tower", str(path)]) == 1
+        assert "relation length 1 does not match generator count 2" in capsys.readouterr().err
+
     def test_oversized_flagged_exit_2(self, tmp_path):
         # Lambda/(p) has mu = 1, so its basis stays p^n per level
         path = tmp_path / "mod.txt"

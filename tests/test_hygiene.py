@@ -4,7 +4,9 @@ is read somewhere in the package, the package has no `assert`
 statement, which `python -O` strips, and no `functools.cache` or
 `functools.lru_cache`, whose entries outlive the objects they describe:
 a cache lives on its object.  Range checks on integer parameters are
-stated once, by `padic.at_least`: no other module words one.  The
+stated once, by `padic.at_least`: no other module words one; likewise
+a square matrix is required only by `series.char_poly` and a residue
+field prime to p only by `padic.h1_local_order`.  The
 package has no runtime dependency: it imports only the standard library
 and itself, so neither importing it nor running the selftest's oracles
 loads sympy or numpy."""
@@ -214,6 +216,43 @@ def test_scan_flags_a_bound_message():
         "    return f'{name} must be  >= 1', f'{name} must be >= {n}'\n"
     )
     assert bound_messages(source) == [3, 5]
+
+
+#: The module that alone raises each error of a rule with one home.
+RULE_HOMES = {"NotSquare": "series.py", "ResidueCharacteristicP": "padic.py"}
+
+
+def raised_errors(source: str, names) -> list:
+    """`line: name` for each `raise` in `source` of an error in `names`,
+    raised as a class or as a call to it."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in names:
+                out.append(f"line {node.lineno}: {exc.id}")
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_rules_raised_only_in_their_home(path):
+    assert raised_errors(path.read_text(), {n for n, home in RULE_HOMES.items() if home != path.name}) == []
+
+
+def test_scan_flags_a_raise_outside_its_home():
+    source = (
+        "def f(m, q):\n"
+        "    if len(m) != len(m[0]):\n"
+        "        raise NotSquare('matrix is not square')\n"
+        "    try:\n"
+        "        return g(q)\n"
+        "    except NotSquare:\n"
+        "        raise ResidueCharacteristicP\n"
+        "    raise ValueError('NotSquare')\n"
+    )
+    assert raised_errors(source, {"NotSquare", "ResidueCharacteristicP"}) == [
+        "line 3: NotSquare", "line 7: ResidueCharacteristicP",
+    ]
 
 
 def outside_imports(source: str) -> list:

@@ -211,7 +211,7 @@ class TestFitGrowth:
             fit_growth(data, GrowthModel("CuocoMonsky", 3, 2))
 
     def test_level_below_0_rejected(self):
-        data = [TowerDatum(n, 3**n, 0, n) for n in (-1, 1, 2, 3)]
+        data = [TowerDatum(n, 3**abs(n), 0, n) for n in (-1, 1, 2, 3)]
         with pytest.raises(ValueError, match="tower levels must be >= 0, got -1"):
             fit_growth(data, GrowthModel("Iwasawa_d1", 3, 1), n0=0)
 

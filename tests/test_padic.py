@@ -28,11 +28,14 @@ from iwatower import (
     fit_growth,
     h1_local_order,
     h1_local_order_tower,
+    heisenberg,
     mod_p_h2_dimension,
     mu_of_mod_pn,
     omega,
     ord_p,
     predict_growth,
+    snf,
+    torsion_size_resultant_oracle,
     tower,
     valuation_tower,
 )
@@ -130,7 +133,7 @@ class TestValuationTower:
         prime = Prime(p)
         b = 1 + k * p
         direct = ord_p(pow(b, p**n) - 1, prime)
-        assert valuation_tower(b, prime, n, checked=False) == direct
+        assert valuation_tower(b, prime, n) == direct
 
 
 class TestH1LocalOrder:
@@ -259,6 +262,27 @@ def predict(report=D1, kind="Zp", d=1, i=2, levels=range(3)):
         pytest.param(lambda x: change_of_s_order(x, (), 2, P3), 2, 1.5, "log_h2_sp must be an integer", id="change_of_s"),
         pytest.param(lambda x: mod_p_h2_dimension(x, 1), 2, 1.5, "cl_sp_p_rank must be an integer", id="mod_p_h2-rank"),
         pytest.param(lambda x: mod_p_h2_dimension(1, x), 2, 1.5, "s_p_count must be an integer", id="mod_p_h2-count"),
+        pytest.param(lambda x: SeriesElement.univariate(CTX, [1, 1], x), 0, 0.5, "0.5 is not an integer", id="univariate-j"),
+        pytest.param(lambda x: snf([[3, 1], [0, 9]], P3, x), 2, 2.5, "N must be an integer", id="snf-N"),
+        pytest.param(
+            lambda x: torsion_size_resultant_oracle(LINEAR.relations[0][0], x), 1, 1.5, "n must be an integer",
+            id="resultant_oracle-n",
+        ),
+        pytest.param(lambda x: heisenberg(x).name, 3, 2.5, "p must be an integer", id="heisenberg-p"),
+        *[
+            pytest.param(
+                lambda x, name=name: InvariantReport(**{"p": 3, "d": 1, "method": "exact", name: x}), good, 2.5,
+                "2.5 is not an integer", id=f"InvariantReport-{name}",
+            )
+            for name, good in [("p", 3), ("d", 1), ("mu", 1), ("lam", 2), ("l0", 1), ("rank", 1), ("rank_over_h", 1), ("mu_h", 0)]
+        ],
+        *[
+            pytest.param(
+                lambda x, name=name: TowerDatum(**{"n": 1, "log_torsion": 4, "zp_rank": 0, "log_mod_pn": 1, name: x}), 2,
+                9.5, "9.5 is not an integer", id=f"TowerDatum-{name}",
+            )
+            for name in ("n", "log_torsion", "zp_rank", "log_mod_pn")
+        ],
     ],
 )
 def test_integer_parameters(call, good, bad, match):

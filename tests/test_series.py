@@ -138,6 +138,21 @@ class TestInputChecks:
         with pytest.raises(error, match=match):
             call()
 
+    @pytest.mark.parametrize("j", [-1, 2])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda j: SeriesElement.univariate(C2, [1, 1], j), id="univariate"),
+            pytest.param(lambda j: SeriesElement.variable(C2, j), id="variable"),
+            pytest.param(lambda j: omega(C2, 1, j), id="omega"),
+        ],
+    )
+    def test_variable_index_range(self, build, j):
+        """0 <= j < d wherever a variable is named: at d = 2, j = -1 is
+        not read as T2 (Python's last list slot)."""
+        with pytest.raises(ValueError, match=f"variable index {j} out of range for d=2"):
+            build(j)
+
 
 class TestOmega:
     def test_level_zero_is_t(self, ctx3):
