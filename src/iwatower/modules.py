@@ -2,22 +2,23 @@
 algebra: coinvariants at tower levels, Smith normal form over Z/p^N,
 and the independent resultant oracle for one-variable torsion sizes.
 
-Coinvariants split the module into direct summands first, factor out the
-p-power content of each (p^mu S' has the elementary divisors of S' times
-p^mu) and expand S' only in the variables its relations use: a variable
-it does not use multiplies the copies of its coinvariants by p^n.  Each
-used variable T_j is reduced modulo one monic polynomial: a monic
-annihilator h(T_j) of the summand of degree < p^n when its determinant
-gives one, else the level-n element (1+T_j)^{p^n} - 1.  These are monic
-in distinct variables, so a monomial reduces one variable at a time (no
-Groebner machinery).  A relation row holds only nonzeros: below the
-degree of its modulus a power of T_j is itself, and only the powers at
-or beyond it come from a table of reduced powers, as long as the largest
-exponent the summand uses.  The Smith normal form eliminates one p-adic
-valuation layer at a time (Cohen, GTM 138, section 2.4) on sparse dict
-rows of Python ints mod p^N, never divided: each pass pivots at the
-least row content p^e, on the rows of that content, fewest nonzeros
-first to limit fill-in (see snf).
+Coinvariants first drop each generator that a relation entry with a unit
+constant term expresses in the others, then split the module into direct
+summands, factor out the p-power content of each (p^mu S' has the
+elementary divisors of S' times p^mu) and expand S' only in the variables
+its relations use: a variable it does not use multiplies the copies of
+its coinvariants by p^n.  Each used variable T_j is reduced modulo one
+monic polynomial: a monic annihilator h(T_j) of the summand of
+degree < p^n when its determinant gives one, else the level-n element
+(1+T_j)^{p^n} - 1.  These are monic in distinct variables, so a monomial
+reduces one variable at a time (no Groebner machinery).  A relation row
+holds only nonzeros: below the degree of its modulus a power of T_j is
+itself, and only the powers at or beyond it come from a table of reduced
+powers, as long as the largest exponent the summand uses.  The Smith
+normal form eliminates one p-adic valuation layer at a time (Cohen,
+GTM 138, section 2.4) on sparse dict rows of Python ints mod p^N, never
+divided: each pass pivots at the least row content p^e, on the rows of
+that content, fewest nonzeros first to limit fill-in (see snf).
 """
 
 from __future__ import annotations
@@ -98,16 +99,17 @@ class ModulePresentation:
     @cached_property
     def _parts(self) -> list:
         """(S', mu, annihilator of S' or None, variables S' uses) for each
-        summand S = p^mu S' (see _summands and _annihilator), found once
-        per presentation, which is immutable.  mu is the least content
-        valuation of the entries of S; S' divides each coefficient by p^mu,
-        a lift of S / p^mu, and p^mu S' = S for any lift.  A summand whose
-        determinant has a unit constant term is 0 whatever variables the
-        determinant uses, as the determinant is a unit of Lambda
-        (truncation at D leaves that term exact); its annihilator is h = 1."""
-        ctx = self.context
+        summand S = p^mu S' of M without its unit pivots (see _eliminated,
+        _summands and _annihilator), found once per presentation, which
+        is immutable.  mu is the least content valuation of the entries of
+        S; S' divides each coefficient by p^mu, a lift of S / p^mu, and
+        p^mu S' = S for any lift.  A summand whose determinant has a unit
+        constant term is 0 whatever variables the determinant uses, as the
+        determinant is a unit of Lambda (truncation at D leaves that term
+        exact); its annihilator is h = 1."""
+        ctx, M = self.context, _eliminated(self)
         parts = []
-        for S in _summands(self):
+        for S in _summands(M) if M else ():
             mu = min((x.content_valuation() for row in S.relations for x in row), default=0)
             if mu:
                 S = ModulePresentation(ctx, S.generators, tuple(tuple(SeriesElement(
@@ -301,6 +303,31 @@ def _annihilator(M: ModulePresentation):
     return j, [c * pow(coeffs[-1], -1, m) % m for c in coeffs]
 
 
+def _eliminated(M: ModulePresentation):
+    """M on fewer generators, M itself when no pivot is taken, or None
+    for the zero module.  An entry u = r_i[g] with a unit constant term
+    is a unit of Lambda and of each level ring, which are local, so r_i
+    expresses generator g in the others (Nakayama): each other relation r
+    becomes u r - r[g] r_i, and r_i and g are dropped.  This repeats on
+    the first such entry in row-major order whose products all have
+    degree <= D, as the product truncates above D."""
+    ctx, k, rels = M.context, M.generators, M.relations
+    zero = (0,) * ctx.d
+
+    def exact(a, b):
+        return all(a.degree(v) + b.degree(v) <= ctx.D for v in range(ctx.d))
+
+    while pivot := next((
+        (i, g) for i, ri in enumerate(rels) for g, u in enumerate(ri) if u.coefficient(zero) % ctx.p.p
+        and all(exact(u, r[h]) and exact(r[g], ri[h]) for r in rels[:i] + rels[i + 1:] for h in range(k) if h != g)
+    ), None):
+        i, g = pivot
+        ri, rest = rels[i], rels[:i] + rels[i + 1:]
+        rels = tuple(tuple(ri[g] * r[h] - r[g] * ri[h] for h in range(k) if h != g) for r in rest)
+        k -= 1
+    return M if k == M.generators else ModulePresentation(ctx, k, rels) if k else None
+
+
 def _summands(M: ModulePresentation) -> list:
     """Direct summands of M, relations and generators kept in order: the
     components of the graph linking relation i to generator g when entry
@@ -327,6 +354,9 @@ def coinvariants(
     Lambda_d^k by the relation rows together with the level-n elements
     w_n(T_j) = (1+T_j)^{p^n} - 1 acting on every generator.
 
+    M is first presented on fewer generators where a relation entry has a
+    unit constant term (see _eliminated), which leaves the module as it
+    is; the summands and `dimension_bound` below count that presentation.
     Coinvariants of a direct sum are the sum of the coinvariants, so each
     summand S of M (see _summands) is taken alone and the exponents are
     merged in sorted order.  S is p^mu S' (see ModulePresentation._parts),

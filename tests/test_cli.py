@@ -141,6 +141,19 @@ class TestTower:
         assert code == 0
         assert out.read_text().splitlines()[1:] == [f"{n}\t{n + 1}\t0\t{n}\t-" for n in range(6)]
 
+    def test_dim_bound_counts_the_eliminated_basis(self, tmp_path, capsys):
+        # ((P, 1), (0, 3)), P = (T - 3)(T - 6): the unit entry 1 drops the
+        # second generator and leaves Lambda/(3P), whose mu = 1 basis is
+        # 3^n, so level 5 needs 243 <= 300, not the 2 * 3^5 = 486 of the
+        # presentation as given
+        path = tmp_path / "mod.txt"
+        path.write_text(MODULE_DOC.replace("generators: 1\nrelation: T1 - p", (
+            "generators: 2\nrelation: 18 - 9*T1 + T1^2; 1\nrelation: 0; 3"
+        )))
+        assert main(["tower", str(path), "--n-max", "5", "--dim-bound", "300"]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(r[1], r[4]) for r in rows] == [(str(3**n + 2 * (n + 1)), "-") for n in range(6)]
+
 
 class TestFitPredictPipeline:
     def test_pipeline(self, module_file, tmp_path, capsys):

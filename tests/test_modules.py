@@ -26,7 +26,7 @@ from iwatower import (
     torsion_size_resultant_oracle,
     tower,
 )
-from iwatower.modules import _annihilator, _relation_rows, _resultant, _summands
+from iwatower.modules import _annihilator, _eliminated, _relation_rows, _resultant, _summands
 from iwatower.series import omega_int_coeffs
 from iwatower.selftest import _oracle_shape_exponents
 
@@ -737,6 +737,136 @@ class TestContent:
             assert shape.torsion_exponents == (2,) * (3**n - 1) + (n + 3,), n
             assert shape.free_rank_at_precision == 0
         assert shapes and max(cols for _, cols in shapes) == 1, shapes
+
+
+def stabilised(rng, B, s, D=30):
+    """B on s more generators x_t, in a context truncated at D.  x_t is
+    tied by one relation u x_t + (entries on B's generators and x_0 ..
+    x_(t-1)), with the pivot u 1, another unit constant, 1 + T_j or a
+    unit constant plus terms in p Lambda, which expresses x_t in the
+    others, so the module is still B.  The rows are then mixed by a
+    unimodular constant matrix and the generators shuffled."""
+    ctx = PrecisionContext(B.context.p, B.context.N, B.context.d, D)
+    p, m, d, k = ctx.p.p, ctx.modulus, ctx.d, B.generators
+    zero = SeriesElement.zero(ctx)
+
+    def pivot():
+        kind, c, j = rng.randrange(4), rng.randrange(1, p) + p * rng.randrange(m), rng.randrange(d)
+        if kind < 2:
+            return SeriesElement.constant(ctx, 1 if kind == 0 else c)
+        if kind == 2:
+            return SeriesElement.constant(ctx, 1) + SeriesElement.variable(ctx, j)
+        return SeriesElement(ctx, {(0,) * d: c, tuple(1 + rng.randrange(2) * (v == j) for v in range(d)): p * rng.randrange(m)})
+
+    def entry():
+        coeffs = {(0,) * d: rng.choice([0, rng.randrange(m), p * rng.randrange(m)])}
+        for _ in range(rng.randrange(0, 3)):
+            coeffs[tuple(rng.randrange(3) for _ in range(d))] = rng.randrange(m)
+        return SeriesElement(ctx, coeffs) if rng.random() < 0.7 else zero
+
+    rows = [[SeriesElement(ctx, x.coefficients) for x in row] + [zero] * s for row in B.relations]
+    for t in range(s):
+        rows.append([entry() for _ in range(k + t)] + [pivot()] + [zero] * (s - t - 1))
+    for _ in range(len(rows) - 1):  # row_i += c * row_t, i != t: unimodular
+        i, t = rng.sample(range(len(rows)), 2)
+        c = SeriesElement.constant(ctx, rng.randrange(m))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[t])]
+    order = rng.sample(range(k + s), k + s)
+    rng.shuffle(rows)
+    return ModulePresentation(ctx, k + s, tuple(tuple(row[g] for g in order) for row in rows))
+
+
+def has_unit_entry(M):
+    zero = (0,) * M.context.d
+    return any(x.coefficient(zero) % M.context.p.p for row in M.relations for x in row)
+
+
+class TestUnitPivots:
+    def test_matches_monomial_oracle(self):
+        # seeded presentations of a helper module B on more generators:
+        # after unit-pivot elimination their coinvariants equal both the
+        # SNF of the full monomial matrix and the coinvariants of B
+        rng = random.Random(83)
+        seen = dict.fromkeys(["non_constant", "mu_after", "zero", "chain", "blocked"], 0)
+        for case in range(120):
+            d, p = rng.choice([1, 1, 2]), rng.choice([3, 5])
+            kind = rng.choice(["summed", "content", "content", "annihilated"])
+            k, s = rng.randrange(1, 3), rng.randrange(1, 3)
+            N = rng.randrange(2, 9 if p == 3 else 7)
+            if kind == "summed":
+                B = summed_module(rng, d, k, p, N)
+            elif kind == "content":
+                B = content_module(rng, d, k, p, N)
+            else:
+                B = annihilated_module(rng, d, k, p, N, [0 if rng.random() < 0.4 else rng.randrange(1, 3) for _ in range(k)])
+            D = 30 if kind == "annihilated" or rng.random() < 0.4 else 2 if kind == "content" else 3
+            M = stabilised(rng, B, s, D)
+            n = rng.randrange(0, 4 if d == 1 else 3)
+            while (k + s) * p ** (n * d) > 250:
+                n -= 1
+            E = _eliminated(M)
+            gone = M.generators - (E.generators if E else 0)
+            zero = (0,) * d
+            units = [x for row in M.relations for x in row if x.coefficient(zero) % p]
+            seen["non_constant"] += gone > 0 and all(len(x.coefficients) > 1 for x in units)
+            seen["mu_after"] += any(mu for _, mu, _, _ in M._parts) and all(
+                min(x.content_valuation() for row in S.relations for x in row) == 0 for S in _summands(M) if S.relations
+            )
+            seen["zero"] += E is None
+            seen["chain"] += gone >= 2
+            seen["blocked"] += E is not None and has_unit_entry(E)
+            ctx = M.context
+            want = reference_snf(reference_relation_matrix(M, n), ctx.p, ctx.N)
+            assert coinvariants(M, n) == want == coinvariants(B, n), (case, kind, d, k, s, p, n, M.relations)
+        assert min(seen.values()) >= 8, seen
+
+    def test_minimal_generator_count(self):
+        # with entries of degree <= 3 and k <= 4 no product reaches D = 30,
+        # so no pivot is left, and the generators that remain are as few
+        # as Nakayama allows: k - rank over F_p of the constant terms A(0)
+        rng = random.Random(89)
+        for case in range(200):
+            d, k, p = rng.choice([1, 2]), rng.randrange(1, 5), rng.choice([3, 5])
+            ctx = PrecisionContext(Prime(p), rng.randrange(2, 6), d, 30)
+
+            def entry():
+                coeffs = {(0,) * d: rng.choice([0, 1, rng.randrange(ctx.modulus), p * rng.randrange(ctx.modulus)])}
+                for _ in range(rng.randrange(0, 3)):
+                    coeffs[tuple(rng.randrange(4) for _ in range(d))] = rng.randrange(ctx.modulus)
+                return SeriesElement(ctx, coeffs) if rng.random() < 0.6 else SeriesElement.zero(ctx)
+
+            M = ModulePresentation(ctx, k, tuple(tuple(entry() for _ in range(k)) for _ in range(rng.randrange(0, k + 2))))
+            A0 = [[x.coefficient((0,) * d) % p for x in row] for row in M.relations]
+            rank = 0
+            for g in range(k):  # row echelon form mod p, column by column
+                r = next((r for r in range(rank, len(A0)) if A0[r][g]), None)
+                if r is None:
+                    continue
+                A0[rank], A0[r] = A0[r], A0[rank]
+                inv = pow(A0[rank][g], -1, p)
+                for t in range(rank + 1, len(A0)):
+                    f = A0[t][g] * inv
+                    A0[t] = [(a - f * b) % p for a, b in zip(A0[t], A0[rank])]
+                rank += 1
+            E = _eliminated(M)
+            assert (E.generators if E else 0) == k - rank, (case, M.relations)
+            assert E is None or not has_unit_entry(E), (case, M.relations)
+            assert (E is M) == (rank == 0)
+
+    def test_no_pivot_returns_the_module_itself(self):
+        # d2_tower's Lambda_2/(T1 - 3u) and Lambda_2/(p), the connected mu > 0
+        # chain and test_memory_error_flagged's module have no unit entry
+        ctx = PrecisionContext(Prime(3), 8, 2, 30)
+        T1, T2 = SeriesElement.variable(ctx, 0), SeriesElement.variable(ctx, 1)
+        p, z = SeriesElement.constant(ctx, 3), SeriesElement.zero(ctx)
+        monomial = lambda a, b: SeriesElement(ctx, {(a, b): 1})
+        for M in (
+            ModulePresentation(ctx, 1, ((T1 - SeriesElement.constant(ctx, 3 * 7),),)),
+            ModulePresentation(ctx, 1, ((p,),)),
+            ModulePresentation(ctx, 3, ((p, T1, z), (z, p, T2), (z, z, p))),
+            ModulePresentation(ctx, 1, ((T1,), (T2,), (monomial(30, 30),), (monomial(30, 29),), (monomial(29, 30),))),
+        ):
+            assert _eliminated(M) is M
 
 
 class TestTower:
