@@ -5,20 +5,21 @@ and the independent resultant oracle for one-variable torsion sizes.
 Coinvariants first drop each generator that a relation entry with a unit
 constant term expresses in the others, then split the module into direct
 summands, factor out the p-power content of each (p^mu S' has the
-elementary divisors of S' times p^mu) and expand S' only in the variables
-its relations use: a variable it does not use multiplies the copies of
-its coinvariants by p^n.  Each used variable T_j is reduced modulo one
-monic polynomial: a monic annihilator h(T_j) of the summand of
-degree < p^n when its determinant gives one, else the level-n element
-(1+T_j)^{p^n} - 1.  These are monic in distinct variables, so a monomial
-reduces one variable at a time (no Groebner machinery).  A relation row
-holds only nonzeros: below the degree of its modulus a power of T_j is
-itself, and only the powers at or beyond it come from a table of reduced
-powers, as long as the largest exponent the summand uses.  The Smith
-normal form eliminates one p-adic valuation layer at a time (Cohen,
-GTM 138, section 2.4) on sparse dict rows of Python ints mod p^N, never
-divided: each pass pivots at the least row content p^e, on the rows of
-that content, fewest nonzeros first to limit fill-in (see snf).
+elementary divisors of S' times p^mu), drop generators of S' the same
+way and expand it only in the variables its relations use: a variable it
+does not use multiplies the copies of its coinvariants by p^n.  Each
+used variable T_j is reduced modulo one monic polynomial: a monic
+annihilator h(T_j) of the summand of degree < p^n when its determinant
+gives one, else the level-n element (1+T_j)^{p^n} - 1.  These are monic
+in distinct variables, so a monomial reduces one variable at a time (no
+Groebner machinery).  A relation row holds only nonzeros: below the
+degree of its modulus a power of T_j is itself, and only the powers at
+or beyond it come from a table of reduced powers, as long as the largest
+exponent the summand uses.  The Smith normal form eliminates one p-adic
+valuation layer at a time (Cohen, GTM 138, section 2.4) on sparse dict
+rows of Python ints mod p^N, never divided: each pass pivots at the
+least row content p^e, on the rows of that content, fewest nonzeros
+first to limit fill-in (see snf).
 """
 
 from __future__ import annotations
@@ -88,35 +89,25 @@ class ModulePresentation:
         return [list(row) for row in self.relations]
 
     @cached_property
-    def _det(self):
-        """det of the relation matrix (see char_poly), or None when it is
-        not square, above CHAR_POLY_SIZE_BOUND or 0 at this precision."""
-        try:
-            return char_poly(self.relation_matrix())
-        except (NotSquare, PrecisionExhausted):
-            return None
-
-    @cached_property
     def _parts(self) -> list:
-        """(S', mu, annihilator of S' or None, variables S' uses) for each
+        """(E, k, mu, annihilator of E or None, variables E uses) for each
         summand S = p^mu S' of M without its unit pivots (see _eliminated,
         _summands and _annihilator), found once per presentation, which
         is immutable.  mu is the least content valuation of the entries of
         S; S' divides each coefficient by p^mu, a lift of S / p^mu, and
-        p^mu S' = S for any lift.  A summand whose determinant has a unit
-        constant term is 0 whatever variables the determinant uses, as the
-        determinant is a unit of Lambda (truncation at D leaves that term
-        exact); its annihilator is h = 1."""
-        ctx, M = self.context, _eliminated(self)
-        parts = []
+        p^mu S' = S for any lift.  S' has k generators; E is S' without
+        its own unit pivots, which only a division by p^mu can bring, or
+        None when S' is 0."""
+        M, parts = _eliminated(self), []
         for S in _summands(M) if M else ():
+            ctx, k = S.context, S.generators
             mu = min((x.content_valuation() for row in S.relations for x in row), default=0)
             if mu:
-                S = ModulePresentation(ctx, S.generators, tuple(tuple(SeriesElement(
-                    ctx, {e: c // ctx.p.p ** mu for e, c in x.coefficients.items()}) for x in row) for row in S.relations))
-            unit = S._det is not None and S._det.coefficient((0,) * ctx.d) % ctx.p.p
-            used = {v for row in S.relations for x in row for e in x.coefficients for v in range(ctx.d) if e[v]}
-            parts.append((S, mu, (0, [1]) if unit else _annihilator(S), used))
+                S = _eliminated(ModulePresentation(ctx, k, tuple(tuple(SeriesElement(ctx, {
+                    e: c // ctx.p.p ** mu for e, c in x.coefficients.items()}) for x in row) for row in S.relations)))
+            rows = S.relations if S else ()
+            used = {v for row in rows for x in row for e in x.coefficients for v in range(ctx.d) if e[v]}
+            parts.append((S, k, mu, _annihilator(S) if S else None, used))
         return parts
 
 
@@ -283,15 +274,16 @@ def _annihilator(M: ModulePresentation):
     """(j, h) for a monic h(T_j) with h * Lambda^k inside the relations,
     as integer coefficients with the constant term first, or None.  h is
     det(A) over its leading coefficient, for a square presentation A of
-    size <= CHAR_POLY_SIZE_BOUND whose determinant involves T_j alone and
-    leads with a unit: adj(A) * A = det * I.  Row degree sums <= D keep
-    the cofactor expansion from truncating.  With mu > 0 no coefficient
-    is a unit."""
+    size <= CHAR_POLY_SIZE_BOUND whose determinant (see char_poly)
+    involves T_j alone and leads with a unit: adj(A) * A = det * I.  Row
+    degree sums <= D keep the cofactor expansion from truncating.  With
+    mu > 0 no coefficient is a unit."""
     ctx, m = M.context, M.context.modulus
     if any(sum(max(e.degree(v) for e in row) for row in M.relations) > ctx.D for v in range(ctx.d)):
         return None
-    det = M._det
-    if det is None:
+    try:
+        det = char_poly(M.relation_matrix())
+    except (NotSquare, PrecisionExhausted):
         return None
     support = {v for exps in det.coefficients for v in range(ctx.d) if exps[v]}
     j = min(support, default=0)
@@ -308,24 +300,44 @@ def _eliminated(M: ModulePresentation):
     for the zero module.  An entry u = r_i[g] with a unit constant term
     is a unit of Lambda and of each level ring, which are local, so r_i
     expresses generator g in the others (Nakayama): each other relation r
-    becomes u r - r[g] r_i, and r_i and g are dropped.  This repeats on
-    the first such entry in row-major order whose products all have
-    degree <= D, as the product truncates above D."""
+    becomes (u r - r[g] r_i) / v, v the previous pivot or 1, and r_i and
+    g are dropped.  This repeats on the first such entry in row-major
+    order until none is left.  It is fraction-free (Bareiss) elimination:
+    after t pivots an entry is a (t+1)-minor of M, so v divides it
+    (Sylvester's identity), degrees grow linearly, not doubling with each
+    pivot, and no product passes the degree cap 2 k D, k = M.generators."""
     ctx, k, rels = M.context, M.generators, M.relations
-    zero = (0,) * ctx.d
-
-    def exact(a, b):
-        return all(a.degree(v) + b.degree(v) <= ctx.D for v in range(ctx.d))
-
-    while pivot := next((
-        (i, g) for i, ri in enumerate(rels) for g, u in enumerate(ri) if u.coefficient(zero) % ctx.p.p
-        and all(exact(u, r[h]) and exact(r[g], ri[h]) for r in rels[:i] + rels[i + 1:] for h in range(k) if h != g)
-    ), None):
+    zero, p = (0,) * ctx.d, ctx.p.p
+    while pivot := next(((i, g) for i, r in enumerate(rels) for g, u in enumerate(r) if u.coefficient(zero) % p), None):
+        if k == M.generators:  # the first pivot: move to the degree cap where nothing truncates
+            ctx = PrecisionContext(ctx.p, ctx.N, ctx.d, 2 * k * ctx.D)
+            rels, v = tuple(tuple(SeriesElement(ctx, x.coefficients) for x in r) for r in rels), {zero: 1}
         i, g = pivot
         ri, rest = rels[i], rels[:i] + rels[i + 1:]
-        rels = tuple(tuple(ri[g] * r[h] - r[g] * ri[h] for h in range(k) if h != g) for r in rest)
-        k -= 1
+        rels = tuple(tuple(_quotient(ri[g] * r[h] - r[g] * ri[h], v) for h in range(k) if h != g) for r in rest)
+        v, k = ri[g].coefficients, k - 1
     return M if k == M.generators else ModulePresentation(ctx, k, rels) if k else None
+
+
+def _quotient(a: SeriesElement, v: dict) -> SeriesElement:
+    """a / v for a polynomial v (a coefficient dict) that divides a and
+    has a unit constant term c.  The other terms of v have positive total
+    degree, so the terms of the remainder of least total degree are c
+    times those of the quotient, which is read off one degree at a time.
+    A remainder left past the total degree d D means that v does not
+    divide a (ArithmeticError)."""
+    ctx, zero, m = a.context, (0,) * a.context.d, a.context.modulus
+    inv, rest, q = pow(v[zero], -1, m), dict(a.coefficients), {}
+    while rest and (s := min(map(sum, rest))) <= ctx.d * ctx.D:
+        for e in [e for e in rest if sum(e) == s]:
+            if c := rest.pop(e) * inv % m:
+                q[e] = c
+                for f, b in v.items() - {(zero, v[zero])}:
+                    g = tuple(x + y for x, y in zip(e, f))
+                    rest[g] = rest.get(g, 0) - c * b
+    if rest:
+        raise ArithmeticError("the divisor does not divide the entry")
+    return SeriesElement(ctx, q)
 
 
 def _summands(M: ModulePresentation) -> list:
@@ -362,11 +374,12 @@ def coinvariants(
     merged in sorted order.  S is p^mu S' (see ModulePresentation._parts),
     and SNF(p^mu A) = p^mu SNF(A): of the k p^(nd) divisors of S' on the
     monomial basis, each torsion exponent e of S' becomes e + mu (free
-    rank when e + mu >= N) and the units become mu.  If the relations of
-    S' use only the variables in U, its coinvariants are p^(n(d - #U))
-    copies of those over U, as S' is S'' (x) Z_p[[T_v : v not in U]].
+    rank when e + mu >= N) and the units become mu.  The matrix built is
+    E's: S' on fewer generators the same way, none when S' is 0.  If E
+    uses only the variables in U, its coinvariants are p^(n(d - #U))
+    copies of those over U, as E is E' (x) Z_p[[T_v : v not in U]].
 
-    With a monic annihilator h(T_j) of S' (see _annihilator) of degree
+    With a monic annihilator h(T_j) of E (see _annihilator) of degree
     < p^n, T_j joins U and its exponents are reduced modulo h, as
     (Z/p^N)[T_j]/(w_n, h) is one ring whichever is reduced by first, and
     each generator gets the level rows w_n(C_h) (x) I, C_h the companion
@@ -379,20 +392,21 @@ def coinvariants(
     ctx = M.context
     p, N, d = ctx.p.p, ctx.N, ctx.d
     plans, basis = [], 0
-    for S, mu, ann, used in M._parts:
+    for E, k, mu, ann, used in M._parts:
         j, h = ann if ann and len(ann[1]) <= p ** n else (None, None)
-        plans.append((S, mu, j, h, sorted(used | ({j} - {None}))))
-        basis += S.generators * (p ** n if h is None or mu else len(h) - 1) * p ** (n * d - n)
+        plans.append((E, k, mu, j, h, sorted(used | ({j} - {None}))))
+        basis += k * (p ** n if h is None or mu else len(h) - 1) * p ** (n * d - n)
     if basis > dimension_bound:
         raise DimensionOverflow(f"basis size {basis} exceeds bound {dimension_bound}")
-    omega = omega_int_coeffs(p, n) if any(v != j for _, _, j, _, U in plans for v in U) else None
+    omega = omega_int_coeffs(p, n) if any(v != j for *_, j, _, U in plans for v in U) else None
     torsion, free = [], 0
-    for S, mu, j, h, U in plans:
-        k, copies = S.generators, p ** (n * (d - len(U)))
+    for E, k, mu, j, h, U in plans:
+        copies = p ** (n * (d - len(U)))
         moduli = {v: h if v == j else omega for v in U}
         b = prod(len(x) - 1 for x in moduli.values())
-        t, f = (), k * b
-        if S.relations and b:
+        s = E.generators if E else 0
+        t, f = (), s * b
+        if s and E.relations:
             if h is not None:  # level rows w_n(T_j) e_g; w_n mod h is row 0 of w_n(C_h)
                 m, q = ctx.modulus, len(h) - 1
                 red = _reduced_powers(h, m, q, 1)  # x = I + C_h: row a is T^a + T^(a+1) mod h
@@ -401,15 +415,15 @@ def coinvariants(
                     cols = list(zip(*x))
                     for _ in range(p - 1):
                         x = [[sum(u * v for u, v in zip(row, col)) % m for col in cols] for row in x]
-                w = SeriesElement.univariate(ctx, [x[0][0] - 1, *x[0][1:]], j)
-                S = ModulePresentation(ctx, k, S.relations + tuple(
-                    tuple(w if g == i else SeriesElement.zero(ctx) for g in range(k)) for i in range(k)
+                w = SeriesElement.univariate(E.context, [x[0][0] - 1, *x[0][1:]], j)
+                E = ModulePresentation(E.context, s, E.relations + tuple(
+                    tuple(w if g == i else SeriesElement.zero(E.context) for g in range(s)) for i in range(s)
                 ))
             try:
-                shape = snf(_relation_rows(S, moduli), ctx.p, N)
+                shape = snf(_relation_rows(E, moduli), ctx.p, N)
             except MemoryError as exc:
                 raise DimensionOverflow(
-                    f"the {len(S.relations) * b} x {k * b} relation matrix does not fit in memory"
+                    f"the {len(E.relations) * b} x {s * b} relation matrix does not fit in memory"
                 ) from exc
             t, f = shape.torsion_exponents, shape.free_rank_at_precision
         if mu:  # S = p^mu S': each of the k p^(n #U) divisors of S' gains mu, up to N

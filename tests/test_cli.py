@@ -117,7 +117,7 @@ class TestTower:
         assert "dimension_bound must be >= 0, got -1" in captured.err
 
     def test_dim_bound_0_unit_determinant(self, tmp_path, capsys):
-        # Lambda/(2) is 0: its monic annihilator is 1, so every level has basis 0
+        # Lambda/(2) is 0: the unit entry 2 drops the only generator, so every level has basis 0
         path = tmp_path / "mod.txt"
         path.write_text(MODULE_DOC.replace("T1 - p", "2"))
         assert main(["tower", str(path), "--n-max", "2", "--dim-bound", "0"]) == 0
@@ -153,6 +153,16 @@ class TestTower:
         assert main(["tower", str(path), "--n-max", "5", "--dim-bound", "300"]) == 0
         rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
         assert [(r[1], r[4]) for r in rows] == [(str(3**n + 2 * (n + 1)), "-") for n in range(6)]
+
+    def test_pivot_products_beyond_d(self, tmp_path, capsys):
+        # ((1 + T, T), (T, 3)) at D = 1: the pivot 1 + T gives 3 + 3T - T^2,
+        # past D, so it is taken at a larger degree cap and the module is
+        # Lambda/(3 + 3T - T^2), with basis 2 per level, not 2 * 3^n
+        path = tmp_path / "mod.txt"
+        path.write_text("p: 3\nN: 8\nd: 1\nD: 1\ngenerators: 2\nrelation: 1 + T1; T1\nrelation: T1; 3\n")
+        assert main(["tower", str(path), "--n-max", "5", "--dim-bound", "100"]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(r[1], r[4]) for r in rows] == [(str(2 * n + 1), "-") for n in range(6)]
 
 
 class TestFitPredictPipeline:

@@ -27,7 +27,7 @@ from iwatower import (
     tower,
 )
 from iwatower.modules import _annihilator, _eliminated, _relation_rows, _resultant, _summands
-from iwatower.series import omega_int_coeffs
+from iwatower.series import char_poly, omega_int_coeffs
 from iwatower.selftest import _oracle_shape_exponents
 
 from conftest import (
@@ -458,15 +458,19 @@ class TestReducedCoinvariants:
         assert sevens >= 12, sevens
 
     def test_truncated_determinant_is_not_used(self, p3):
-        # diag(f, f), f = T^2 + T + 1: det = f^2 has degree 4; at D = 3
-        # the expansion would drop T^4 and leave 2T^3 + ..., which leads
-        # with a unit but annihilates nothing; at D = 4 it is exact
-        for D, applies in ((3, False), (4, True)):
+        # ((g, 3), (0, g)), g = T^2 + T + 3, has no unit entry and is one
+        # summand, so coinvariants reach _annihilator: det = g^2 =
+        # T^4 + 2T^3 + 7T^2 + 6T + 9; at D = 3 the expansion drops T^4
+        # and leaves 2T^3 + ..., which leads with a unit but annihilates
+        # nothing; at D = 4 it is exact
+        for D, h in ((3, None), (4, (0, [9, 6, 7, 2, 1]))):
             ctx = PrecisionContext(p3, 4, 1, D)
-            f, z = poly(ctx, [1, 1, 1]), SeriesElement.zero(ctx)
-            M = ModulePresentation(ctx, 2, ((f, z), (z, f)))
-            assert (_annihilator(M) is not None) == applies
+            g, z = poly(ctx, [3, 1, 1]), SeriesElement.zero(ctx)
+            M = ModulePresentation(ctx, 2, ((g, poly(ctx, [3])), (z, g)))
+            assert char_poly(M.relation_matrix()).univariate_coeffs()[D] % 3
+            assert _annihilator(M) == h
             want = reference_snf(reference_relation_matrix(M, 2), p3, 4)
+            assert want.torsion_exponents == (3, 3)
             assert coinvariants(M, 2) == want
 
     def test_cyclic_matches_resultant_oracle(self):
@@ -703,17 +707,17 @@ class TestContent:
                 n -= 1
             M = content_module(rng, d, k, p, rng.randrange(2, 9))
             ctx = M.context
-            mus = [mu for S, mu, _, _ in M._parts if S.relations]
+            mus = [mu for E, _, mu, _, _ in M._parts if E is None or E.relations]
             seen["beside_mu_0"] += 0 in mus and max(mus) > 0
-            for S, mu, ann, used in M._parts:
+            for E, _, mu, ann, used in M._parts:
                 if not mu:
                     continue
                 reduced = ann is not None and len(ann[1]) <= p**n
-                seen["unit"] += reduced and len(ann[1]) == 1
+                seen["unit"] += E is None
                 seen["reduced"] += reduced and len(ann[1]) > 1
-                seen["monomial"] += not reduced
+                seen["monomial"] += E is not None and not reduced
                 seen["copies"] += n > 0 and len(used | ({ann[0]} if reduced else set())) < d
-                seen["spill"] += any(e + mu >= ctx.N for e in coinvariants(S, n).torsion_exponents)
+                seen["spill"] += E is not None and any(e + mu >= ctx.N for e in coinvariants(E, n).torsion_exponents)
             want = reference_snf(reference_relation_matrix(M, n), ctx.p, ctx.N)
             assert coinvariants(M, n) == want, (case, d, k, p, n, M.relations)
         assert min(seen.values()) >= 8, seen
@@ -787,7 +791,7 @@ class TestUnitPivots:
         # after unit-pivot elimination their coinvariants equal both the
         # SNF of the full monomial matrix and the coinvariants of B
         rng = random.Random(83)
-        seen = dict.fromkeys(["non_constant", "mu_after", "zero", "chain", "blocked"], 0)
+        seen = dict.fromkeys(["non_constant", "mu_after", "zero", "chain", "beyond_D"], 0)
         for case in range(120):
             d, p = rng.choice([1, 1, 2]), rng.choice([3, 5])
             kind = rng.choice(["summed", "content", "content", "annihilated"])
@@ -809,30 +813,31 @@ class TestUnitPivots:
             zero = (0,) * d
             units = [x for row in M.relations for x in row if x.coefficient(zero) % p]
             seen["non_constant"] += gone > 0 and all(len(x.coefficients) > 1 for x in units)
-            seen["mu_after"] += any(mu for _, mu, _, _ in M._parts) and all(
+            seen["mu_after"] += any(mu for _, _, mu, _, _ in M._parts) and all(
                 min(x.content_valuation() for row in S.relations for x in row) == 0 for S in _summands(M) if S.relations
             )
             seen["zero"] += E is None
             seen["chain"] += gone >= 2
-            seen["blocked"] += E is not None and has_unit_entry(E)
+            assert E is None or not has_unit_entry(E), (case, M.relations)
+            seen["beyond_D"] += E is not None and any(x.degree(v) > D for row in E.relations for x in row for v in range(d))
             ctx = M.context
             want = reference_snf(reference_relation_matrix(M, n), ctx.p, ctx.N)
             assert coinvariants(M, n) == want == coinvariants(B, n), (case, kind, d, k, s, p, n, M.relations)
         assert min(seen.values()) >= 8, seen
 
     def test_minimal_generator_count(self):
-        # with entries of degree <= 3 and k <= 4 no product reaches D = 30,
-        # so no pivot is left, and the generators that remain are as few
-        # as Nakayama allows: k - rank over F_p of the constant terms A(0)
+        # at any degree cap D, even one that the products of a pivot
+        # pass, no pivot is left, and the generators that remain are as
+        # few as Nakayama allows: k - rank over F_p of the constant terms A(0)
         rng = random.Random(89)
         for case in range(200):
-            d, k, p = rng.choice([1, 2]), rng.randrange(1, 5), rng.choice([3, 5])
-            ctx = PrecisionContext(Prime(p), rng.randrange(2, 6), d, 30)
+            d, k, p, D = rng.choice([1, 2]), rng.randrange(1, 5), rng.choice([3, 5]), rng.choice([1, 2, 3, 30])
+            ctx = PrecisionContext(Prime(p), rng.randrange(2, 6), d, D)
 
             def entry():
                 coeffs = {(0,) * d: rng.choice([0, 1, rng.randrange(ctx.modulus), p * rng.randrange(ctx.modulus)])}
                 for _ in range(rng.randrange(0, 3)):
-                    coeffs[tuple(rng.randrange(4) for _ in range(d))] = rng.randrange(ctx.modulus)
+                    coeffs[tuple(rng.randrange(min(D, 3) + 1) for _ in range(d))] = rng.randrange(ctx.modulus)
                 return SeriesElement(ctx, coeffs) if rng.random() < 0.6 else SeriesElement.zero(ctx)
 
             M = ModulePresentation(ctx, k, tuple(tuple(entry() for _ in range(k)) for _ in range(rng.randrange(0, k + 2))))
@@ -852,6 +857,49 @@ class TestUnitPivots:
             assert (E.generators if E else 0) == k - rank, (case, M.relations)
             assert E is None or not has_unit_entry(E), (case, M.relations)
             assert (E is M) == (rank == 0)
+
+    def test_divided_summand_is_eliminated(self, monkeypatch):
+        # Lambda_2/(3 (1 + T1 + T2)) has no unit entry, but its divided
+        # summand Lambda_2/(1 + T1 + T2) is 0: its 9^n divisors are all 3,
+        # with no Smith form
+        shapes = []
+        real = iwatower.modules.snf
+
+        def recording(matrix, p, N):
+            shapes.append(matrix.shape)
+            return real(matrix, p, N)
+
+        monkeypatch.setattr(iwatower.modules, "snf", recording)
+        ctx = PrecisionContext(Prime(3), 8, 2, 30)
+        M = ModulePresentation(ctx, 1, ((SeriesElement(ctx, {(0, 0): 3, (1, 0): 3, (0, 1): 3}),),))
+        assert M._parts == [(None, 1, 1, None, set())]
+        for n in range(3):
+            assert coinvariants(M, n) == AbelianShape((1,) * 9**n, 0, 8)
+        assert not shapes, shapes
+
+    def test_degrees_grow_linearly(self):
+        # entries after t pivots are (t+1)-minors, of degree <= (t+1) D:
+        # diag(f) and the chain with T1 below f, f = 1 + T1 + T2, are 0 on
+        # 12 generators at dimension bound 0 (products u r - r[g] r_i alone
+        # would reach f^(2^11)), and a dense A(0) + T1 B + T2 C with
+        # rank_Fp A(0) = k - 2 leaves two generators of degree <= k - 1
+        ctx = PrecisionContext(Prime(3), 8, 2, 1)
+        f, z = SeriesElement(ctx, {(0, 0): 1, (1, 0): 1, (0, 1): 1}), SeriesElement.zero(ctx)
+        T1 = SeriesElement.variable(ctx, 0)
+        for below in (z, T1):
+            M = ModulePresentation(ctx, 12, tuple(
+                tuple(f if g == i else below if g == i - 1 else z for g in range(12)) for i in range(12)))
+            assert _eliminated(M) is None
+            assert all(t.log_torsion == t.zp_rank == 0 and not t.flags for t in tower(M, 2, dimension_bound=0))
+        rng, k = random.Random(97), 7
+        M = ModulePresentation(ctx, k, tuple(tuple(SeriesElement(ctx, {
+            (0, 0): int(i == g < k - 2) + 3 * rng.randrange(9), (1, 0): rng.randrange(9), (0, 1): rng.randrange(9),
+        }) for g in range(k)) for i in range(k)))
+        E = _eliminated(M)
+        assert E.generators == 2 and not has_unit_entry(E)
+        assert max(x.degree(v) for row in E.relations for x in row for v in range(2)) <= k - 1
+        want = reference_snf(reference_relation_matrix(M, 1), ctx.p, ctx.N)
+        assert coinvariants(M, 1) == want
 
     def test_no_pivot_returns_the_module_itself(self):
         # d2_tower's Lambda_2/(T1 - 3u) and Lambda_2/(p), the connected mu > 0
