@@ -63,7 +63,8 @@ class InvariantReport:
 
 def exact_invariants_d1(M: ModulePresentation) -> InvariantReport:
     """mu and lambda of a d = 1 square-presented torsion module, read
-    off the Weierstrass form of the determinant of the presentation."""
+    off the Weierstrass form of the determinant of the presentation.
+    char_poly raises DegreeOverflow where D would truncate it."""
     if M.context.d != 1:
         raise ValueError("exact invariants require d = 1")
     det = char_poly(M.relation_matrix())

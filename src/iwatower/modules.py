@@ -30,7 +30,7 @@ from functools import cached_property
 from itertools import product
 from math import gcd, prod
 
-from .errors import ContextMismatch, DimensionOverflow, NotSquare, PrecisionExhausted
+from .errors import ContextMismatch, DegreeOverflow, DimensionOverflow, NotSquare, PrecisionExhausted
 from .padic import Prime, as_int, at_least, ord_p
 from .series import PrecisionContext, SeriesElement, char_poly, omega_int_coeffs
 
@@ -275,15 +275,13 @@ def _annihilator(M: ModulePresentation):
     as integer coefficients with the constant term first, or None.  h is
     det(A) over its leading coefficient, for a square presentation A of
     size <= CHAR_POLY_SIZE_BOUND whose determinant (see char_poly)
-    involves T_j alone and leads with a unit: adj(A) * A = det * I.  Row
-    degree sums <= D keep the cofactor expansion from truncating.  With
-    mu > 0 no coefficient is a unit."""
+    involves T_j alone and leads with a unit: adj(A) * A = det * I.  None
+    when char_poly refuses A, as when D would truncate its determinant.
+    With mu > 0 no coefficient is a unit."""
     ctx, m = M.context, M.context.modulus
-    if any(sum(max(e.degree(v) for e in row) for row in M.relations) > ctx.D for v in range(ctx.d)):
-        return None
     try:
         det = char_poly(M.relation_matrix())
-    except (NotSquare, PrecisionExhausted):
+    except (DegreeOverflow, NotSquare, PrecisionExhausted):
         return None
     support = {v for exps in det.coefficients for v in range(ctx.d) if exps[v]}
     j = min(support, default=0)
@@ -475,14 +473,10 @@ def torsion_size_resultant_oracle(f: SeriesElement, n: int) -> int:
     Independent of the SNF path: exact rational arithmetic on lifted
     coefficients (see _resultant).  Raises PrecisionExhausted when the
     resultant is 0 mod p^N (value not determined at this precision)."""
-    ctx = f.context
-    if ctx.d != 1:
-        raise ValueError("resultant oracle requires d = 1")
-    if f.is_zero():
-        raise PrecisionExhausted("f is 0 at this precision")
+    ctx, coeffs = f.context, f.univariate_coeffs()
     p, N = ctx.p.p, ctx.N
     # Res(w, f) = product of f over the roots of the monic w
-    res = _resultant(omega_int_coeffs(p, at_least(n, 0, "n")), f.univariate_coeffs())
+    res = _resultant(omega_int_coeffs(p, at_least(n, 0, "n")), coeffs)
     if res % (p ** N) == 0:
         raise PrecisionExhausted(
             "resultant is 0 mod p^N; torsion size not determined at this precision"

@@ -123,11 +123,11 @@ def h1_local_order_tower(q: int, i: int, p: Prime, n: int) -> int:
     """Same as h1_local_order but at level n of a residue tower,
     where |k_n| = q^{p^n}: returns ord_p(q^{(i-1)p^n} - 1).
 
-    Requires odd p.  This is a + n once a = ord_p(q^{i-1} - 1) >= 1, and
-    0 for all n if a = 0: the order of q^{i-1} mod p is then prime to p, so
-    p-power exponents create no p-divisibility.
+    Requires odd p, checked by valuation_tower (a >= 1 when p = 2).  This
+    is a + n once a = ord_p(q^{i-1} - 1) >= 1, and 0 for all n if a = 0:
+    the order of q^{i-1} mod p is then prime to p, so p-power exponents
+    create no p-divisibility.
     """
-    p.require_odd()
     a = h1_local_order(q, i, p)
     n = at_least(n, 0, "n", HypothesisViolated)
     if a == 0:

@@ -26,7 +26,7 @@ from .modules import (
     torsion_size_resultant_oracle,
     tower,
 )
-from .padic import Prime, h1_local_order, ord_p, valuation_tower
+from .padic import CHECKED_TOWER_BOUND, Prime, h1_local_order, ord_p, valuation_tower
 from .series import PrecisionContext, SeriesElement, weierstrass_prepare
 
 DEFAULT_SEED = 20260314
@@ -92,11 +92,11 @@ def _check_valuation(rng):
             a = rng.randrange(1, 4)
             unit = rng.randrange(1, p)
             b = 1 + unit * p ** a + rng.randrange(0, 3) * p ** (a + 1)
-            n = rng.randrange(0, 5)
-            closed = valuation_tower(b, prime, n)
-            direct = ord_p(pow(b, p ** n) - 1, prime)
-            if closed != direct:
-                failures += 1
+            draw = rng.randrange(0, 5)
+            # also past CHECKED_TOWER_BOUND, where valuation_tower checks nothing itself
+            for n in (draw, draw + CHECKED_TOWER_BOUND + 1):
+                m = p ** (a + n + 1)  # b^(p^n) = 1 mod m reads a + n + 1
+                failures += valuation_tower(b, prime, n) != ord_p((pow(b, p ** n, m) - 1) % m or m, prime)
     return failures == 0, f"{failures} mismatches"
 
 

@@ -142,16 +142,6 @@ class SeriesElement:
     def __hash__(self):
         return hash((self.context, frozenset(self.coefficients.items())))
 
-    def equals_mod(self, other: "SeriesElement", precision: int) -> bool:
-        """Equality of coefficients mod p^precision (same context)."""
-        self._require_same_context(other)
-        m = self.context.p.p ** precision
-        keys = set(self.coefficients) | set(other.coefficients)
-        return all(
-            (self.coefficients.get(k, 0) - other.coefficients.get(k, 0)) % m == 0
-            for k in keys
-        )
-
     def __repr__(self):
         return f"SeriesElement({format_polynomial(self)})"
 
@@ -277,8 +267,6 @@ def weierstrass_divide(f: SeriesElement, g: SeriesElement) -> tuple:
     distinguished one (d = 1): returns (q, r) with f = q*g + r and
     deg r < deg g, unique at working precision."""
     ctx = f.context
-    if ctx.d != 1:
-        raise ValueError("weierstrass_divide requires d = 1")
     f._require_same_context(g)
     m = ctx.modulus
     gc = g.univariate_coeffs()
@@ -306,8 +294,6 @@ def weierstrass_prepare(f: SeriesElement) -> WeierstrassForm:
     N - 1 or more, which would leave a context of precision below 2.
     """
     ctx = f.context
-    if ctx.d != 1:
-        raise ValueError("weierstrass_prepare requires d = 1")
     if f.is_zero():
         raise PrecisionExhausted("f is 0 at this precision")
     p = ctx.p.p
@@ -348,10 +334,11 @@ def weierstrass_prepare(f: SeriesElement) -> WeierstrassForm:
 def char_poly(matrix) -> SeriesElement:
     """Determinant of a square matrix over the truncated ring in any
     number of variables, by cofactor expansion on memoized column subsets
-    (no divisions, so no non-unit pivot issues).  It is exact when no
-    product passes the degree cap D.  For d = 1 a nonzero determinant
-    certifies the presented cokernel is torsion and generates its
-    characteristic ideal at working precision."""
+    (no divisions, so no non-unit pivot issues).  It truncates only when
+    the row degrees (a row's: its entries' largest) in some T_j sum past
+    D; it raises DegreeOverflow then, so what it returns is exact.  For
+    d = 1 a nonzero determinant certifies the presented cokernel is
+    torsion and generates its characteristic ideal at working precision."""
     k = len(matrix)
     if k == 0:
         raise NotSquare("empty matrix")
@@ -363,6 +350,9 @@ def char_poly(matrix) -> SeriesElement:
     for row in matrix:
         for entry in row:
             entry._require_same_context(matrix[0][0])
+    for j in range(ctx.d):
+        if (total := sum(max(e.degree(j) for e in row) for row in matrix)) > ctx.D:
+            raise DegreeOverflow(f"row degrees in T{j + 1} sum to {total} > D = {ctx.D}")
     # minors[cols] = det of rows (k - len(cols))..k-1 restricted to cols
     minors = {(): SeriesElement.constant(ctx, 1)}
     for r in range(k - 1, -1, -1):

@@ -404,6 +404,17 @@ class TestInvariants:
         assert main(["invariants", str(path)]) == 0
         assert capsys.readouterr().out == f"p={p}\nd=1\nmethod=exact\nmu={N - 2}\nlam=1\n"
 
+    def test_truncating_determinant_refused(self, tmp_path, capsys):
+        # det = T^4 - 9; D = 3 would truncate it to -9 (mu=2, lam=0)
+        path = tmp_path / "mod.txt"
+        path.write_text("p: 3\nN: 8\nd: 1\nD: 3\ngenerators: 2\nrelation: T1^2; 3\nrelation: 3; T1^2\n")
+        assert main(["invariants", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: DegreeOverflow: row degrees in T1 sum to 4 > D = 3\n"
+        assert main(["invariants", str(path), "--D", "4"]) == 0
+        assert capsys.readouterr().out == "p=3\nd=1\nmethod=exact\nmu=0\nlam=4\n"
+
     def test_two_variables_input_error(self, tmp_path, capsys):
         path = tmp_path / "mod.txt"
         path.write_text(MODULE_DOC.replace("d: 1", "d: 2"))

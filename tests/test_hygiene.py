@@ -5,8 +5,10 @@ statement, which `python -O` strips, and no `functools.cache` or
 `functools.lru_cache`, whose entries outlive the objects they describe:
 a cache lives on its object.  Range checks on integer parameters are
 stated once, by `padic.at_least`: no other module words one; likewise
-a square matrix is required only by `series.char_poly` and a residue
-field prime to p only by `padic.h1_local_order`.  The
+a square matrix and a determinant within the degree cap are required
+only by `series.char_poly`, a residue field prime to p only by
+`padic.h1_local_order`, and one variable only by
+`SeriesElement.univariate_coeffs`.  The
 package has no runtime dependency: it imports only the standard library
 and itself, so neither importing it nor running the selftest's oracles
 loads sympy or numpy."""
@@ -219,7 +221,7 @@ def test_scan_flags_a_bound_message():
 
 
 #: The module that alone raises each error of a rule with one home.
-RULE_HOMES = {"NotSquare": "series.py", "ResidueCharacteristicP": "padic.py"}
+RULE_HOMES = {"DegreeOverflow": "series.py", "NotSquare": "series.py", "ResidueCharacteristicP": "padic.py"}
 
 
 def raised_errors(source: str, names) -> list:
@@ -248,11 +250,52 @@ def test_scan_flags_a_raise_outside_its_home():
         "        return g(q)\n"
         "    except NotSquare:\n"
         "        raise ResidueCharacteristicP\n"
+        "    if sum(len(r) for r in m) > q:\n"
+        "        raise DegreeOverflow(f'degrees sum past D = {q}')\n"
         "    raise ValueError('NotSquare')\n"
     )
-    assert raised_errors(source, {"NotSquare", "ResidueCharacteristicP"}) == [
-        "line 3: NotSquare", "line 7: ResidueCharacteristicP",
+    assert raised_errors(source, set(RULE_HOMES)) == [
+        "line 3: NotSquare", "line 7: ResidueCharacteristicP", "line 9: DegreeOverflow",
     ]
+
+
+def string_sites(source: str, text: str) -> list:
+    """(line, function) for each string constant in `source` that holds
+    `text`, f-string parts included, with the name of the innermost
+    function around it, or "" at module level."""
+    out = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and text in node.value:
+            out.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return sorted(out)
+
+
+def test_one_variable_rule_has_one_home():
+    sites = [(p.name, where) for p in SOURCES for _, where in string_sites(p.read_text(), "requires d = 1")]
+    assert sites == [("series.py", "univariate_coeffs")]
+
+
+def test_scan_finds_each_string_site():
+    source = (
+        "NOTE = 'requires d = 1'\n"
+        "class S:\n"
+        "    def coeffs(self, d):\n"
+        "        if d != 1:\n"
+        "            raise ValueError(f'{d} variables; coeffs requires d = 1')\n"
+        "        return 'require d = 1'\n"
+        "def prepare(f):\n"
+        "    def inner():\n"
+        "        return 'prepare requires d = 1'\n"
+        "    return inner\n"
+    )
+    assert string_sites(source, "requires d = 1") == [(1, ""), (5, "coeffs"), (9, "inner")]
 
 
 def outside_imports(source: str) -> list:

@@ -3,12 +3,14 @@ import random
 import pytest
 
 from iwatower import (
+    DegreeOverflow,
     GrowthModel,
     HypothesisViolated,
     InsufficientData,
     ModulePresentation,
     NonIntegralCoefficient,
     NotSquare,
+    PrecisionContext,
     PrecisionExhausted,
     SeriesElement,
     TowerDatum,
@@ -46,6 +48,23 @@ class TestExactInvariants:
         M = ModulePresentation(ctx3, 2, ((t, p), (p, t)))
         rep = exact_invariants_d1(M)
         assert (rep.mu, rep.lam) == (0, 2)
+
+    def test_truncating_determinant_refused(self, p3):
+        # det((T^2, 3), (3, T^2)) = T^4 - 9: at D = 3 the expansion would
+        # drop T^4 and read mu = 2, lam = 0 off -9; at D = 4 it is exact
+        # and agrees with the fitted tower, which D does not change
+        def module(D):
+            ctx = PrecisionContext(p3, 8, 1, D)
+            t2, three = poly(ctx, [0, 0, 1]), poly(ctx, [3])
+            return ModulePresentation(ctx, 2, ((t2, three), (three, t2)))
+
+        for refused in (exact_invariants_d1, mu_positivity_equiv):
+            with pytest.raises(DegreeOverflow, match="row degrees in T1 sum to 4 > D = 3"):
+                refused(module(3))
+        exact = exact_invariants_d1(module(4))
+        assert (exact.mu, exact.lam) == (0, 4)
+        fitted = fit_growth(tower(module(3), 3), GrowthModel("Iwasawa_d1", 3, 1))
+        assert (fitted.mu, fitted.lam) == (0, 4)
 
     def test_non_square_rejected(self, ctx3):
         M = ModulePresentation(ctx3, 2, ())
