@@ -106,20 +106,20 @@ def _det_mod_p(M: ModulePresentation):
                         out[i + j] = (out[i + j] + ca * cb) % p
         return out
 
-    def det(rows, cols):
-        if len(cols) == 1:
-            return to_poly(M.relations[rows[0]][cols[0]])
-        acc = [0] * (D + 1)
-        r = rows[0]
-        for idx, c in enumerate(cols):
-            minor = det(rows[1:], cols[:idx] + cols[idx + 1:])
-            term = pmul(to_poly(M.relations[r][c]), minor)
-            sign = 1 if idx % 2 == 0 else p - 1
-            acc = [(x + sign * y) % p for x, y in zip(acc, term)]
-        return acc
+    k, memo = M.generators, {(): [1] + [0] * D}
 
-    k = M.generators
-    return det(tuple(range(k)), tuple(range(k)))
+    def det(cols):  # the minor of the last len(cols) rows on the columns cols
+        if cols not in memo:
+            acc = [0] * (D + 1)
+            for idx, c in enumerate(cols):
+                minor = det(cols[:idx] + cols[idx + 1:])
+                term = pmul(to_poly(M.relations[k - len(cols)][c]), minor)
+                sign = 1 if idx % 2 == 0 else p - 1
+                acc = [(x + sign * y) % p for x, y in zip(acc, term)]
+            memo[cols] = acc
+        return memo[cols]
+
+    return det(tuple(range(k)))
 
 
 def mu_positivity_equiv(M: ModulePresentation) -> tuple:

@@ -3,7 +3,8 @@ algebra: coinvariants at tower levels, Smith normal form over Z/p^N,
 and the independent resultant oracle for one-variable torsion sizes.
 
 Coinvariants first drop each generator that a relation entry with a unit
-constant term expresses in the others, then split the module into direct
+constant term expresses in the others (Bareiss elimination on the
+integer lift, reduced mod p^N after), then split the module into direct
 summands, factor out the p-power content of each (p^mu S' has the
 elementary divisors of S' times p^mu), drop generators of S' the same
 way and expand it only in the variables its relations use: a variable it
@@ -32,7 +33,7 @@ from math import gcd, prod
 
 from .errors import ContextMismatch, DegreeOverflow, DimensionOverflow, NotSquare, PrecisionExhausted
 from .padic import Prime, as_int, at_least, ord_p
-from .series import PrecisionContext, SeriesElement, char_poly, omega_int_coeffs
+from .series import PrecisionContext, SeriesElement, char_poly, minors, omega_int_coeffs
 
 #: default cap on the number of Z/p^N basis elements of a coinvariant.
 DEFAULT_DIMENSION_BOUND = 20000
@@ -273,11 +274,10 @@ def _relation_rows(M: ModulePresentation, moduli: dict) -> _SparseRows:
 def _annihilator(M: ModulePresentation):
     """(j, h) for a monic h(T_j) with h * Lambda^k inside the relations,
     as integer coefficients with the constant term first, or None.  h is
-    det(A) over its leading coefficient, for a square presentation A of
-    size <= CHAR_POLY_SIZE_BOUND whose determinant (see char_poly)
-    involves T_j alone and leads with a unit: adj(A) * A = det * I.  None
-    when char_poly refuses A, as when D would truncate its determinant.
-    With mu > 0 no coefficient is a unit."""
+    det(A) over its leading coefficient, for a square presentation A
+    whose determinant (see char_poly) involves T_j alone and leads with a
+    unit: adj(A) * A = det * I.  None when char_poly refuses A, as when D
+    would truncate det; with mu > 0 no coefficient is a unit."""
     ctx, m = M.context, M.context.modulus
     try:
         det = char_poly(M.relation_matrix())
@@ -297,45 +297,15 @@ def _eliminated(M: ModulePresentation):
     """M on fewer generators, M itself when no pivot is taken, or None
     for the zero module.  An entry u = r_i[g] with a unit constant term
     is a unit of Lambda and of each level ring, which are local, so r_i
-    expresses generator g in the others (Nakayama): each other relation r
-    becomes (u r - r[g] r_i) / v, v the previous pivot or 1, and r_i and
-    g are dropped.  This repeats on the first such entry in row-major
-    order until none is left.  It is fraction-free (Bareiss) elimination:
-    after t pivots an entry is a (t+1)-minor of M, so v divides it
-    (Sylvester's identity), degrees grow linearly, not doubling with each
-    pivot, and no product passes the degree cap 2 k D, k = M.generators."""
-    ctx, k, rels = M.context, M.generators, M.relations
-    zero, p = (0,) * ctx.d, ctx.p.p
-    while pivot := next(((i, g) for i, r in enumerate(rels) for g, u in enumerate(r) if u.coefficient(zero) % p), None):
-        if k == M.generators:  # the first pivot: move to the degree cap where nothing truncates
-            ctx = PrecisionContext(ctx.p, ctx.N, ctx.d, 2 * k * ctx.D)
-            rels, v = tuple(tuple(SeriesElement(ctx, x.coefficients) for x in r) for r in rels), {zero: 1}
-        i, g = pivot
-        ri, rest = rels[i], rels[:i] + rels[i + 1:]
-        rels = tuple(tuple(_quotient(ri[g] * r[h] - r[g] * ri[h], v) for h in range(k) if h != g) for r in rest)
-        v, k = ri[g].coefficients, k - 1
-    return M if k == M.generators else ModulePresentation(ctx, k, rels) if k else None
-
-
-def _quotient(a: SeriesElement, v: dict) -> SeriesElement:
-    """a / v for a polynomial v (a coefficient dict) that divides a and
-    has a unit constant term c.  The other terms of v have positive total
-    degree, so the terms of the remainder of least total degree are c
-    times those of the quotient, which is read off one degree at a time.
-    A remainder left past the total degree d D means that v does not
-    divide a (ArithmeticError)."""
-    ctx, zero, m = a.context, (0,) * a.context.d, a.context.modulus
-    inv, rest, q = pow(v[zero], -1, m), dict(a.coefficients), {}
-    while rest and (s := min(map(sum, rest))) <= ctx.d * ctx.D:
-        for e in [e for e in rest if sum(e) == s]:
-            if c := rest.pop(e) * inv % m:
-                q[e] = c
-                for f, b in v.items() - {(zero, v[zero])}:
-                    g = tuple(x + y for x, y in zip(e, f))
-                    rest[g] = rest.get(g, 0) - c * b
-    if rest:
-        raise ArithmeticError("the divisor does not divide the entry")
-    return SeriesElement(ctx, q)
+    expresses generator g in the others (Nakayama): series.minors on the
+    integer lift of the relations takes each such pivot.  The entries
+    left are minors of degree <= k D, k = M.generators; reduced mod p^N
+    they go to the degree cap 2 k D, which char_poly's row-degree rule
+    reads when _annihilator takes their determinant."""
+    ctx, zero, p = M.context, (0,) * M.context.d, M.context.p.p
+    rows, pivots, _ = minors([[x.coefficients for x in r] for r in M.relations], lambda u: u.get(zero, 0) % p)
+    ctx, k = PrecisionContext(ctx.p, ctx.N, ctx.d, 2 * M.generators * ctx.D), M.generators - len(pivots)
+    return M if not pivots else ModulePresentation(ctx, k, tuple(tuple(SeriesElement(ctx, x) for x in r) for r in rows)) if k else None
 
 
 def _summands(M: ModulePresentation) -> list:

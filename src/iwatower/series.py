@@ -10,7 +10,7 @@ immutable sparse multidegree maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from operator import add, sub
 
 from .errors import (
     ContextMismatch,
@@ -20,9 +20,6 @@ from .errors import (
     PrecisionExhausted,
 )
 from .padic import Prime, as_int, at_least, ord_p
-
-#: largest matrix size accepted by char_poly (cofactor expansion).
-CHAR_POLY_SIZE_BOUND = 8
 
 
 @dataclass(frozen=True)
@@ -328,24 +325,69 @@ def weierstrass_prepare(f: SeriesElement) -> WeierstrassForm:
     return WeierstrassForm(mu=mu, distinguished=g, unit=u, lam=lam, effective_precision=eff)
 
 
-# -- characteristic power series of a square presentation ------------
+# -- exact elimination and the characteristic power series ----------
+
+
+def minors(rows, accept) -> tuple:
+    """Fraction-free (Bareiss) elimination on rows of integer coefficient
+    dicts over Z[T_1..T_d]: while some entry u = r_i[g] passes accept(u),
+    the first in row-major order, each other row r becomes
+    (u r - r[g] r_i) / v, v the previous pivot (1 at the first), and row
+    i and column g are dropped.  After t pivots each entry is a
+    (t+1)-minor of the input, so v divides it in Z[T] (Sylvester's
+    identity; Bareiss, Math. Comp. 1968) and degrees grow linearly in t.
+    Returns the rows left, the pivots and prod (-1)^(i+g) over them."""
+    rows, pivots, sign = [list(r) for r in rows], [], 1
+    while pivot := next(((i, g) for i, r in enumerate(rows) for g, u in enumerate(r) if accept(u)), None):
+        i, g = pivot
+        ri, v = rows.pop(i), pivots[-1] if pivots else None
+        rows = [[_over(_sum({}, (1, ri[g], x), (-1, r[g], y)), v) for h, (x, y) in enumerate(zip(r, ri)) if h != g] for r in rows]
+        pivots.append(ri[g])
+        sign *= (-1) ** (i + g)
+    return rows, pivots, sign
+
+
+def _sum(start: dict, *terms) -> dict:
+    """start plus c a b for each (c, a, b) in terms, a and b dicts over
+    Z[T_1..T_d], without zero coefficients."""
+    out = dict(start)
+    for c, a, b in terms:
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(map(add, ea, eb))
+                out[e] = out.get(e, 0) + c * ca * cb
+    return {e: x for e, x in out.items() if x}
+
+
+def _over(a: dict, v) -> dict:
+    """a / v in Z[T_1..T_d] (a for v None) by leading terms in graded
+    order: each step cancels the remainder's leading term and adds only
+    smaller ones, so the loop ends; ArithmeticError if v does not divide a."""
+    graded, q = lambda e: (sum(e), e), {}
+    while v and a:
+        lead, e = max(v, key=graded), max(a, key=graded)
+        s = tuple(map(sub, e, lead))
+        if a[e] % v[lead] or min(s) < 0:
+            raise ArithmeticError("the divisor does not divide the entry")
+        q[s] = a[e] // v[lead]
+        a = _sum(a, (-q[s], {s: 1}, v))
+    return q if v else a
 
 
 def char_poly(matrix) -> SeriesElement:
     """Determinant of a square matrix over the truncated ring in any
-    number of variables, by cofactor expansion on memoized column subsets
-    (no divisions, so no non-unit pivot issues).  It truncates only when
-    the row degrees (a row's: its entries' largest) in some T_j sum past
-    D; it raises DegreeOverflow then, so what it returns is exact.  For
-    d = 1 a nonzero determinant certifies the presented cokernel is
-    torsion and generates its characteristic ideal at working precision."""
+    number of variables: sign times the last pivot of minors on the
+    canonical integer lift, or 0 when a row is left, reduced mod p^N, as
+    reduction commutes with the determinant.  It raises DegreeOverflow
+    when the row degrees (a row's: its entries' largest) in some T_j sum
+    past D, where the ring would truncate it.  For d = 1 a nonzero
+    determinant certifies the presented cokernel is torsion and generates
+    its characteristic ideal at working precision."""
     k = len(matrix)
     if k == 0:
         raise NotSquare("empty matrix")
     if any(len(row) != k for row in matrix):
         raise NotSquare("matrix is not square")
-    if k > CHAR_POLY_SIZE_BOUND:
-        raise NotSquare(f"matrix size {k} exceeds bound {CHAR_POLY_SIZE_BOUND}")
     ctx = matrix[0][0].context
     for row in matrix:
         for entry in row:
@@ -353,20 +395,8 @@ def char_poly(matrix) -> SeriesElement:
     for j in range(ctx.d):
         if (total := sum(max(e.degree(j) for e in row) for row in matrix)) > ctx.D:
             raise DegreeOverflow(f"row degrees in T{j + 1} sum to {total} > D = {ctx.D}")
-    # minors[cols] = det of rows (k - len(cols))..k-1 restricted to cols
-    minors = {(): SeriesElement.constant(ctx, 1)}
-    for r in range(k - 1, -1, -1):
-        size = k - r
-        new = {}
-        for cols in combinations(range(k), size):
-            acc = SeriesElement.zero(ctx)
-            for idx, c in enumerate(cols):
-                rest = cols[:idx] + cols[idx + 1:]
-                term = matrix[r][c] * minors[rest]
-                acc = acc + term if idx % 2 == 0 else acc - term
-            new[cols] = acc
-        minors = new
-    det = minors[tuple(range(k))]
+    rows, pivots, sign = minors([[x.coefficients for x in row] for row in matrix], bool)
+    det = SeriesElement(ctx, {} if rows else {e: sign * c for e, c in pivots[-1].items()})
     if det.is_zero():
         raise PrecisionExhausted(
             "determinant vanishes mod (p^N, T^(D+1)); torsionness not certifiable"

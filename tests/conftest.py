@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import comb, isqrt
 
 import numpy as np
@@ -8,11 +9,14 @@ import sympy.matrices.normalforms
 
 from iwatower import (
     AbelianShape,
+    DegreeOverflow,
     HypothesisViolated,
     InsufficientData,
     InvariantReport,
     ModulePresentation,
     NonIntegralCoefficient,
+    NotSquare,
+    PrecisionExhausted,
     Prime,
     PrecisionContext,
     SeriesElement,
@@ -194,6 +198,42 @@ def reference_relation_matrix(M, n):
                 out[gi * block:(gi + 1) * block] = seg
             row_idx += 1
     return A
+
+
+def reference_char_poly(matrix):
+    """Test oracle for `series.char_poly`, its former kernel: the same
+    shape, context and row-degree checks, then cofactor expansion along
+    each row in turn on memoized column subsets, with no division, in
+    the truncated ring itself."""
+    k = len(matrix)
+    if k == 0:
+        raise NotSquare("empty matrix")
+    if any(len(row) != k for row in matrix):
+        raise NotSquare("matrix is not square")
+    ctx = matrix[0][0].context
+    for row in matrix:
+        for entry in row:
+            entry._require_same_context(matrix[0][0])
+    for j in range(ctx.d):
+        if (total := sum(max(e.degree(j) for e in row) for row in matrix)) > ctx.D:
+            raise DegreeOverflow(f"row degrees in T{j + 1} sum to {total} > D = {ctx.D}")
+    # minors[cols] = det of rows (k - len(cols))..k-1 restricted to cols
+    minors = {(): SeriesElement.constant(ctx, 1)}
+    for r in range(k - 1, -1, -1):
+        new = {}
+        for cols in combinations(range(k), k - r):
+            acc = SeriesElement.zero(ctx)
+            for idx, c in enumerate(cols):
+                term = matrix[r][c] * minors[cols[:idx] + cols[idx + 1:]]
+                acc = acc + term if idx % 2 == 0 else acc - term
+            new[cols] = acc
+        minors = new
+    det = minors[tuple(range(k))]
+    if det.is_zero():
+        raise PrecisionExhausted(
+            "determinant vanishes mod (p^N, T^(D+1)); torsionness not certifiable"
+        )
+    return det
 
 
 def reference_closure(G, generators):

@@ -415,6 +415,15 @@ class TestInvariants:
         assert main(["invariants", str(path), "--D", "4"]) == 0
         assert capsys.readouterr().out == "p=3\nd=1\nmethod=exact\nmu=0\nlam=4\n"
 
+    def test_nine_generator_chain(self, tmp_path, capsys):
+        # Lambda/(T - 3) on 9 generators: e_i - T e_(i+1), (T - 3) e_8
+        rows = ["; ".join("1" if g == i else "-T1" if g == i + 1 else "0" for g in range(9)) for i in range(8)]
+        rows.append("0; " * 8 + "T1 - 3")
+        path = tmp_path / "mod.txt"
+        path.write_text("p: 3\nN: 8\nd: 1\nD: 16\ngenerators: 9\n" + "".join(f"relation: {r}\n" for r in rows))
+        assert main(["invariants", str(path)]) == 0
+        assert capsys.readouterr().out == "p=3\nd=1\nmethod=exact\nmu=0\nlam=1\n"
+
     def test_two_variables_input_error(self, tmp_path, capsys):
         path = tmp_path / "mod.txt"
         path.write_text(MODULE_DOC.replace("d: 1", "d: 2"))

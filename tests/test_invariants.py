@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -65,6 +66,21 @@ class TestExactInvariants:
         assert (exact.mu, exact.lam) == (0, 4)
         fitted = fit_growth(tower(module(3), 3), GrowthModel("Iwasawa_d1", 3, 1))
         assert (fitted.mu, fitted.lam) == (0, 4)
+
+    def test_nine_generator_chain(self, ctx3):
+        # e_i - T e_(i+1) (i < 8) and (T - 3) e_8 present Lambda/(T - 3) on
+        # 9 generators, past any size cap: det = T - 3 gives what the
+        # fitted tower gives, and the mod-p cofactor path is memoized
+        t, one, z = poly(ctx3, [0, 1]), poly(ctx3, [1]), SeriesElement.zero(ctx3)
+        rows = [tuple(one if g == i else -t if g == i + 1 else z for g in range(9)) for i in range(8)]
+        M = ModulePresentation(ctx3, 9, (*rows, (z,) * 8 + (poly(ctx3, [-3, 1]),)))
+        exact = exact_invariants_d1(M)
+        assert (exact.mu, exact.lam) == (0, 1)
+        fitted = fit_growth(tower(M, 5), GrowthModel("Iwasawa_d1", 3, 1))
+        assert (fitted.mu, fitted.lam) == (0, 1)
+        start = time.perf_counter()
+        assert mu_positivity_equiv(M) == (False, False)
+        assert time.perf_counter() - start < 1
 
     def test_non_square_rejected(self, ctx3):
         M = ModulePresentation(ctx3, 2, ())

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -475,6 +476,20 @@ class TestReducedCoinvariants:
             want = reference_snf(reference_relation_matrix(M, 2), p3, 4)
             assert want.torsion_exponents == (3, 3)
             assert coinvariants(M, 2) == want
+
+    def test_annihilator_beyond_eight_generators(self, p3):
+        # (T - 3) e_i + 3 e_(i+1) (i < 8) and (T - 3) e_8: one summand with
+        # no unit entry, whose determinant (T - 3)^9 is monic; at n = 3 its
+        # 9 generators expand on 9 monomials each, not 27, so the basis is
+        # 81 where the level element alone would give 243
+        ctx = PrecisionContext(p3, 8, 1, 16)
+        f, three, z = poly(ctx, [-3, 1]), poly(ctx, [3]), SeriesElement.zero(ctx)
+        M = ModulePresentation(ctx, 9, tuple(
+            tuple(f if g == i else three if g == i + 1 else z for g in range(9)) for i in range(9)))
+        assert _annihilator(M) == (0, [comb(9, i) * (-3) ** (9 - i) % 3**8 for i in range(10)])
+        assert coinvariants(M, 3, dimension_bound=81) == AbelianShape((4,) * 9, 0, 8)
+        for n in range(4):
+            assert coinvariants(M, n) == reference_snf(reference_relation_matrix(M, n), p3, 8), n
 
     def test_cyclic_matches_resultant_oracle(self):
         # Lambda_1/(f) with mu = 0 and a unit leading coefficient

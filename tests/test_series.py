@@ -21,7 +21,7 @@ from iwatower import (
     weierstrass_prepare,
 )
 
-from conftest import poly
+from conftest import poly, reference_char_poly
 
 C1 = PrecisionContext(Prime(3), 6, 1, 16)
 C2 = PrecisionContext(Prime(3), 6, 2, 16)
@@ -130,7 +130,7 @@ class TestInputChecks:
             pytest.param(lambda: weierstrass_divide(*[SeriesElement.variable(C2)] * 2), ValueError, "d = 1", id="divide-d2"),
             pytest.param(lambda: weierstrass_prepare(SeriesElement.variable(C2)), ValueError, "d = 1", id="prepare-d2"),
             pytest.param(
-                lambda: char_poly([[SeriesElement.constant(C1, 1)] * 9] * 9), NotSquare, "exceeds bound", id="char-poly-9x9"
+                lambda: char_poly([[SeriesElement.constant(C1, 1)] * 9] * 9), PrecisionExhausted, "vanishes", id="char-poly-9x9"
             ),
         ],
     )
@@ -388,3 +388,58 @@ class TestCharPoly:
             except PrecisionExhausted:
                 continue
             assert lhs == rhs
+
+    def test_matches_cofactor_oracle(self):
+        # elimination on the integer lift against the cofactor expansion,
+        # in value or in exception class and message; zero entries, at the
+        # corner too, send pivots off the diagonal
+        rng = random.Random(109)
+        seen = dict.fromkeys(["value", "zero_corner", "zero_entry", "vanishes", "degree"], 0)
+        for case in range(400):
+            p, d, k = rng.choice([3, 5]), rng.choice([1, 2]), rng.randrange(1, 7)
+            ctx = PrecisionContext(Prime(p), rng.choice([3, 6, 8]), d, rng.choice([1, 2, 3, 6, 16]))
+            top = min(ctx.D, rng.choice([0, 1, 1, 2]))
+
+            def entry():
+                if rng.random() < 0.3:
+                    return SeriesElement.zero(ctx)
+                coeffs = {(0,) * d: rng.choice([0, 1, p, rng.randrange(ctx.modulus), p * rng.randrange(ctx.modulus)])}
+                for _ in range(rng.randrange(0, 3)):
+                    coeffs[tuple(rng.randrange(top + 1) for _ in range(d))] = rng.randrange(ctx.modulus)
+                return SeriesElement(ctx, coeffs)
+
+            A = [[entry() for _ in range(k)] for _ in range(k)]
+            results = []
+            for det in (char_poly, reference_char_poly):
+                try:
+                    results.append(det(A))
+                except IwatowerError as exc:
+                    results.append((type(exc), str(exc)))
+            got, want = results
+            assert got == want, (case, A)
+            if isinstance(want, SeriesElement):
+                seen["value"] += 1
+                seen["zero_corner"] += A[0][0].is_zero()
+                seen["zero_entry"] += k > 1 and any(x.is_zero() for row in A for x in row)
+            else:
+                seen["vanishes" if want[0] is PrecisionExhausted else "degree"] += 1
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("k", [9, 10, 11, 12])
+    def test_triangular_beyond_eight(self, k):
+        # no size cap: an upper triangular matrix has the product of its
+        # diagonal as determinant, and with its rows reversed that times
+        # (-1)^(k(k-1)/2), where each pivot is the last entry of the first row
+        rng = random.Random(k)
+        ctx = PrecisionContext(Prime(3), 8, 1, 2 * k)
+
+        def entry(unit):
+            return poly(ctx, [3 * rng.randrange(9), 1 if unit else rng.randrange(9), rng.randrange(9)])
+
+        z = SeriesElement.zero(ctx)
+        A = [[entry(True) if g == i else entry(False) if g > i and rng.random() < 0.6 else z for g in range(k)] for i in range(k)]
+        product = SeriesElement.constant(ctx, 1)
+        for i in range(k):
+            product = product * A[i][i]
+        assert char_poly(A) == product
+        assert char_poly(A[::-1]) == product.scale((-1) ** (k * (k - 1) // 2))
