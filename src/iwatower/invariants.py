@@ -23,7 +23,7 @@ from .errors import (
 )
 from .modules import ModulePresentation
 from .padic import Prime, as_int, at_least
-from .series import char_poly, weierstrass_prepare
+from .series import char_poly, determinant, weierstrass_prepare
 
 VERDICT_CONSISTENT = "window-consistent"
 VERDICT_INCONSISTENT = "window-inconsistent"
@@ -219,22 +219,10 @@ _FAMILIES = {
 _INTEGRAL_SLOTS = {"mu", "lam", "rank", "rank_over_h", "mu_h"}
 
 
-def _solve_fraction_system(rows, rhs):
-    """Gaussian elimination over Q; returns None when singular."""
-    k = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][k] for r in range(k)]
+def _det(matrix) -> int:
+    """Determinant of a square integer matrix, by series.determinant on
+    constant dicts."""
+    return determinant([[{(0,): x} if x else {} for x in row] for row in matrix]).get((0,), 0)
 
 
 def cuoco_monsky_hypothesis_check(data, model: GrowthModel) -> tuple:
@@ -257,7 +245,8 @@ def cuoco_monsky_hypothesis_check(data, model: GrowthModel) -> tuple:
 
 def fit_growth(data, model: GrowthModel, n0: int = 1) -> InvariantReport:
     """Fit the model family's main-term coefficients to tower data by
-    exact rational linear algebra on the highest unflagged points.
+    Cramer's rule on the highest unflagged points, each determinant
+    exact by series.determinant.
 
     Residuals r_n = data - main terms are reported on all points; the
     verdict is "window-consistent" iff the residuals normalized by the
@@ -293,11 +282,11 @@ def fit_growth(data, model: GrowthModel, n0: int = 1) -> InvariantReport:
     top = solvable[-u:]
     rows = [[_term(term, p, d, t.n) for _, term in terms] for t in top]
     rhs = [getattr(t, spec.datum) for t in top]
-    solution = _solve_fraction_system(rows, rhs)
-    if solution is None:
+    if not (det := _det(rows)):
         raise InsufficientData("solving system is singular on these points")
     slots = {}
-    for (name, _), value in zip(spec.main, solution):
+    for j, (name, _) in enumerate(spec.main):
+        value = Fraction(_det([row[:j] + [b] + row[j + 1:] for row, b in zip(rows, rhs)]), det)
         if value.denominator != 1 or (name in _INTEGRAL_SLOTS and value < 0):
             raise NonIntegralCoefficient(
                 f"main-term coefficient {name} = {value} is not "

@@ -4,13 +4,16 @@ variables, modeling the completed group algebra of Z_p^d via T_j =
 
 Coefficients live in Z/p^N (fixed precision, canonical representatives
 in [0, p^N)); degrees are truncated at D per variable.  Elements are
-immutable sparse multidegree maps.
+immutable sparse multidegree maps.  Products, divisions with remainder
+and determinants run on canonical integer lifts, reduced mod p^N after,
+in one product (_sum), one division (_divmod) and one elimination (minors).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, sub
+from heapq import heapify, heappop, heappush
+from operator import add, neg, sub
 
 from .errors import (
     ContextMismatch,
@@ -165,16 +168,8 @@ class SeriesElement:
         """Convolution product, truncated at degree D per variable
         (documented power-series contract; no error on truncation)."""
         self._require_same_context(other)
-        ctx = self.context
-        D = ctx.D
-        data = {}
-        for ea, ca in self.coefficients.items():
-            for eb, cb in other.coefficients.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                if any(e > D for e in exps):
-                    continue
-                data[exps] = data.get(exps, 0) + ca * cb
-        return SeriesElement(ctx, data)
+        product = _sum({}, (1, self.coefficients, other.coefficients))
+        return SeriesElement(self.context, {e: c for e, c in product.items() if max(e) <= self.context.D})
 
     def scale(self, c: int) -> "SeriesElement":
         return SeriesElement(self.context, {e: v * c for e, v in self.coefficients.items()})
@@ -260,25 +255,15 @@ def _unit_inverse(u: SeriesElement) -> SeriesElement:
 
 
 def weierstrass_divide(f: SeriesElement, g: SeriesElement) -> tuple:
-    """Exact division of f by a monic polynomial g, such as a
+    """Division with remainder of f by a monic polynomial g, such as a
     distinguished one (d = 1): returns (q, r) with f = q*g + r and
-    deg r < deg g, unique at working precision."""
-    ctx = f.context
+    deg r < deg g, unique at working precision: _divmod of the canonical
+    integer lifts, reduced mod p^N, as that commutes with division by g."""
     f._require_same_context(g)
-    m = ctx.modulus
-    gc = g.univariate_coeffs()
-    dg = len(gc) - 1
-    if gc[dg] != 1:
+    if g.univariate_coeffs()[-1] != 1:
         raise ValueError("divisor must be monic")
-    fc = f.univariate_coeffs()
-    q = [0] * (len(fc) - dg)
-    for k in range(len(fc) - 1, dg - 1, -1):
-        c = fc[k]
-        if c:
-            q[k - dg] = c
-            for i in range(dg + 1):
-                fc[k - dg + i] = (fc[k - dg + i] - c * gc[i]) % m
-    return SeriesElement.univariate(ctx, q), SeriesElement.univariate(ctx, fc[:dg])
+    q, r = _divmod(f.coefficients, g.coefficients)
+    return SeriesElement(f.context, q), SeriesElement(f.context, r)
 
 
 def weierstrass_prepare(f: SeriesElement) -> WeierstrassForm:
@@ -341,10 +326,25 @@ def minors(rows, accept) -> tuple:
     while pivot := next(((i, g) for i, r in enumerate(rows) for g, u in enumerate(r) if accept(u)), None):
         i, g = pivot
         ri, v = rows.pop(i), pivots[-1] if pivots else None
-        rows = [[_over(_sum({}, (1, ri[g], x), (-1, r[g], y)), v) for h, (x, y) in enumerate(zip(r, ri)) if h != g] for r in rows]
+        rows = [[_exact(_sum({}, (1, ri[g], x), (-1, r[g], y)), v) for h, (x, y) in enumerate(zip(r, ri)) if h != g] for r in rows]
         pivots.append(ri[g])
         sign *= (-1) ** (i + g)
     return rows, pivots, sign
+
+
+def determinant(rows) -> dict:
+    """Determinant of a square matrix of integer coefficient dicts over
+    Z[T_1..T_d]: sign times the last pivot of minors, {} when a row is left."""
+    rows, pivots, sign = minors(rows, bool)
+    return {} if rows else {e: sign * c for e, c in pivots[-1].items()}
+
+
+def _exact(a: dict, v) -> dict:
+    """a / v by _divmod (a for v None); ArithmeticError if v does not divide a."""
+    q, r = _divmod(a, v) if v else (a, {})
+    if r:
+        raise ArithmeticError("the divisor does not divide the entry")
+    return q
 
 
 def _sum(start: dict, *terms) -> dict:
@@ -359,26 +359,36 @@ def _sum(start: dict, *terms) -> dict:
     return {e: x for e, x in out.items() if x}
 
 
-def _over(a: dict, v) -> dict:
-    """a / v in Z[T_1..T_d] (a for v None) by leading terms in graded
-    order: each step cancels the remainder's leading term and adds only
-    smaller ones, so the loop ends; ArithmeticError if v does not divide a."""
-    graded, q = lambda e: (sum(e), e), {}
-    while v and a:
-        lead, e = max(v, key=graded), max(a, key=graded)
+def _divmod(a: dict, v: dict) -> tuple:
+    """(q, r) with a = q v + r for integer coefficient dicts over
+    Z[T_1..T_d]: while v's leading term in graded order divides r's, r's
+    is cancelled, which adds only smaller terms, so the loop ends.  r is
+    updated in place, its exponents popped from a heap (Monagan and
+    Pearce, J. Symbolic Comput. 2011).  r = 0 when v divides a, and for
+    d = 1 and a monic v, deg r < deg v."""
+    graded = lambda e: (-sum(e), *map(neg, e))  # heap order: largest e first
+    lead, r, q = min(v, key=graded), dict(a), {}
+    heap = [graded(e) for e in a]
+    heapify(heap)
+    while heap:
+        e = tuple(map(neg, heappop(heap)[1:]))
+        if not r[e]:
+            continue
         s = tuple(map(sub, e, lead))
-        if a[e] % v[lead] or min(s) < 0:
-            raise ArithmeticError("the divisor does not divide the entry")
-        q[s] = a[e] // v[lead]
-        a = _sum(a, (-q[s], {s: 1}, v))
-    return q if v else a
+        if min(s) < 0 or r[e] % v[lead]:
+            break
+        q[s] = c = r[e] // v[lead]
+        for ev, cv in v.items():
+            if (f := tuple(map(add, s, ev))) not in r:
+                heappush(heap, graded(f))
+            r[f] = r.get(f, 0) - c * cv
+    return q, {e: x for e, x in r.items() if x}
 
 
 def char_poly(matrix) -> SeriesElement:
     """Determinant of a square matrix over the truncated ring in any
-    number of variables: sign times the last pivot of minors on the
-    canonical integer lift, or 0 when a row is left, reduced mod p^N, as
-    reduction commutes with the determinant.  It raises DegreeOverflow
+    number of variables: determinant of the canonical integer lift,
+    reduced mod p^N, as reduction commutes with it.  It raises DegreeOverflow
     when the row degrees (a row's: its entries' largest) in some T_j sum
     past D, where the ring would truncate it.  For d = 1 a nonzero
     determinant certifies the presented cokernel is torsion and generates
@@ -395,8 +405,7 @@ def char_poly(matrix) -> SeriesElement:
     for j in range(ctx.d):
         if (total := sum(max(e.degree(j) for e in row) for row in matrix)) > ctx.D:
             raise DegreeOverflow(f"row degrees in T{j + 1} sum to {total} > D = {ctx.D}")
-    rows, pivots, sign = minors([[x.coefficients for x in row] for row in matrix], bool)
-    det = SeriesElement(ctx, {} if rows else {e: sign * c for e, c in pivots[-1].items()})
+    det = SeriesElement(ctx, determinant([[x.coefficients for x in row] for row in matrix]))
     if det.is_zero():
         raise PrecisionExhausted(
             "determinant vanishes mod (p^N, T^(D+1)); torsionness not certifiable"

@@ -236,6 +236,28 @@ def reference_char_poly(matrix):
     return det
 
 
+def reference_weierstrass_divide(f, g):
+    """Test oracle for `series.weierstrass_divide`, its former loop: the
+    same checks, then long division of f's coefficient list by the monic
+    g's, reducing mod p^N at each step."""
+    ctx = f.context
+    f._require_same_context(g)
+    m = ctx.modulus
+    gc = g.univariate_coeffs()
+    dg = len(gc) - 1
+    if gc[dg] != 1:
+        raise ValueError("divisor must be monic")
+    fc = f.univariate_coeffs()
+    q = [0] * (len(fc) - dg)
+    for k in range(len(fc) - 1, dg - 1, -1):
+        c = fc[k]
+        if c:
+            q[k - dg] = c
+            for i in range(dg + 1):
+                fc[k - dg + i] = (fc[k - dg + i] - c * gc[i]) % m
+    return SeriesElement.univariate(ctx, q), SeriesElement.univariate(ctx, fc[:dg])
+
+
 def reference_closure(G, generators):
     """Test oracle for `FiniteGroup.closure`: grows the generated set by
     products on both sides of every element seen with every new one,

@@ -21,7 +21,7 @@ from iwatower import (
     weierstrass_prepare,
 )
 
-from conftest import poly, reference_char_poly
+from conftest import poly, reference_char_poly, reference_weierstrass_divide
 
 C1 = PrecisionContext(Prime(3), 6, 1, 16)
 C2 = PrecisionContext(Prime(3), 6, 2, 16)
@@ -72,6 +72,33 @@ class TestSeriesElement:
         ctx = PrecisionContext(p3, 4, 1, 3)
         f = poly(ctx, [0, 0, 1])  # T^2
         assert (f * f).is_zero()  # T^4 truncated away
+
+    def test_mul_d2_matches_double_loop(self):
+        # each variable truncated at D on its own: T1^a T2^b survives
+        # when a <= D and b <= D, whatever a + b is
+        rng = random.Random(23)
+        dropped = kept = 0
+        for _ in range(200):
+            p = rng.choice([3, 5])
+            ctx = PrecisionContext(Prime(p), rng.choice([2, 6, 30]), 2, rng.randrange(1, 7))
+
+            def element():
+                return SeriesElement(ctx, {
+                    tuple(rng.randrange(ctx.D + 1) for _ in range(2)): rng.choice([1, p, rng.randrange(ctx.modulus)])
+                    for _ in range(rng.randrange(0, 6))
+                })
+
+            f, g = element(), element()
+            want = {}
+            for (a1, a2), x in f.coefficients.items():
+                for (b1, b2), y in g.coefficients.items():
+                    if a1 + b1 <= ctx.D and a2 + b2 <= ctx.D:
+                        want[a1 + b1, a2 + b2] = want.get((a1 + b1, a2 + b2), 0) + x * y
+            assert f * g == SeriesElement(ctx, want)
+            products = [(a1 + b1, a2 + b2) for a1, a2 in f.coefficients for b1, b2 in g.coefficients]
+            dropped += any(min(e) <= ctx.D < max(e) for e in products)
+            kept += any(sum(e) > ctx.D >= max(e) for e in products)
+        assert dropped >= 50 and kept >= 50, (dropped, kept)
 
     def test_immutable(self, ctx3):
         t = SeriesElement.variable(ctx3)
@@ -323,6 +350,39 @@ class TestWeierstrassDivide:
             q, r = weierstrass_divide(f, g)
             assert q * g + r == f
             assert r.degree(0) < g.degree(0)
+
+    def test_matches_long_division(self):
+        # the division of the integer lifts, reduced after, against long
+        # division reducing mod p^N at each step; p^N passes int64 at N = 40
+        rng = random.Random(31)
+        seen = dict.fromkeys(["one", "below", "equal", "above"], 0)
+        for _ in range(300):
+            p, case = rng.choice([3, 5]), rng.choice(list(seen))
+            ctx = PrecisionContext(Prime(p), rng.choice([2, 5, 12, 25, 40]), 1, rng.randrange(2, 31))
+            dg = 0 if case == "one" else rng.randrange(1, ctx.D)
+            df = {"below": rng.randrange(-1, dg), "equal": dg}.get(case, rng.randrange(dg + 1, ctx.D + 1))
+            g = poly(ctx, [rng.choice([0, p * rng.randrange(ctx.modulus), rng.randrange(ctx.modulus)]) for _ in range(dg)] + [1])
+            f = poly(ctx, [rng.randrange(ctx.modulus) for _ in range(df)] + [rng.randrange(1, ctx.modulus)] * (df >= 0))
+            assert weierstrass_divide(f, g) == reference_weierstrass_divide(f, g)
+            seen[case] += 1
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize(
+        "f, g, error, match",
+        [
+            pytest.param(poly(C1, [0, 1]), poly(C1, [1, 3]), ValueError, "divisor must be monic", id="non-monic"),
+            pytest.param(poly(C1, [0, 1]), SeriesElement.zero(C1), ValueError, "divisor must be monic", id="zero"),
+            pytest.param(SeriesElement.variable(C2), SeriesElement.variable(C2), ValueError, "requires d = 1", id="d2"),
+            pytest.param(poly(C1, [0, 1]), SeriesElement.variable(C1.with_precision(7)), ContextMismatch, "N=6.* vs .*N=7", id="context"),
+        ],
+    )
+    def test_rejections_match_long_division(self, f, g, error, match):
+        messages = []
+        for divide in (weierstrass_divide, reference_weierstrass_divide):
+            with pytest.raises(error, match=match) as info:
+                divide(f, g)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
 
 class TestCharPoly:
