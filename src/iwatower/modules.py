@@ -2,25 +2,28 @@
 algebra: coinvariants at tower levels, Smith normal form over Z/p^N,
 and the independent resultant oracle for one-variable torsion sizes.
 
-Coinvariants first drop each generator that a relation entry with a unit
+Coinvariants read the relations once, as rows of integer coefficient
+dicts (canonical residues mod p^N), and build no ring element after.
+They first drop each generator that a relation entry with a unit
 constant term expresses in the others (Bareiss elimination on the
-integer lift, reduced mod p^N after), then split the module into direct
+integer lift, reduced mod p^N after; a rank over F_p of the constant
+terms finds the zero module first), then split the module into direct
 summands, factor out the p-power content of each (p^mu S' has the
 elementary divisors of S' times p^mu), drop generators of S' the same
 way and expand it only in the variables its relations use: a variable it
 does not use multiplies the copies of its coinvariants by p^n.  Each
 used variable T_j is reduced modulo one monic polynomial: a monic
-annihilator h(T_j) of the summand of degree < p^n when its determinant
-gives one, else the level-n element (1+T_j)^{p^n} - 1.  These are monic
-in distinct variables, so a monomial reduces one variable at a time (no
-Groebner machinery).  A relation row holds only nonzeros: below the
-degree of its modulus a power of T_j is itself, and only the powers at
-or beyond it come from a table of reduced powers, as long as the largest
-exponent the summand uses.  The Smith normal form eliminates one p-adic
-valuation layer at a time (Cohen, GTM 138, section 2.4) on sparse dict
-rows of Python ints mod p^N, never divided: each pass pivots at the
-least row content p^e, on the rows of that content, fewest nonzeros
-first to limit fill-in (see snf).
+annihilator h(T_j) of the summand of degree < p^n when its determinant,
+exact at any degree, gives one, else the level-n element
+(1+T_j)^{p^n} - 1.  These are monic in distinct variables, so a monomial
+reduces one variable at a time (no Groebner machinery).  A relation row
+holds only nonzeros: below the degree of its modulus a power of T_j is
+itself, and only the powers at or beyond it come from a table of reduced
+powers, as long as the largest exponent the summand uses.  The Smith
+normal form eliminates one p-adic valuation layer at a time (Cohen, GTM
+138, section 2.4) on sparse dict rows of Python ints mod p^N, never
+divided: each pass pivots at the least row content p^e, on the rows of
+that content, fewest nonzeros first to limit fill-in (see snf).
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from functools import cached_property
 from itertools import product
 from math import gcd, prod
 
-from .errors import ContextMismatch, DegreeOverflow, DimensionOverflow, NotSquare, PrecisionExhausted
+from .errors import ContextMismatch, DimensionOverflow, PrecisionExhausted
 from .padic import Prime, as_int, at_least, ord_p
-from .series import PrecisionContext, SeriesElement, char_poly, minors, omega_int_coeffs
+from .series import PrecisionContext, SeriesElement, determinant, minors, omega_int_coeffs
 
 #: default cap on the number of Z/p^N basis elements of a coinvariant.
 DEFAULT_DIMENSION_BOUND = 20000
@@ -94,21 +97,18 @@ class ModulePresentation:
         """(E, k, mu, annihilator of E or None, variables E uses) for each
         summand S = p^mu S' of M without its unit pivots (see _eliminated,
         _summands and _annihilator), found once per presentation, which
-        is immutable.  mu is the least content valuation of the entries of
-        S; S' divides each coefficient by p^mu, a lift of S / p^mu, and
-        p^mu S' = S for any lift.  S' has k generators; E is S' without
-        its own unit pivots, which only a division by p^mu can bring, or
-        None when S' is 0."""
-        M, parts = _eliminated(self), []
-        for S in _summands(M) if M else ():
-            ctx, k = S.context, S.generators
-            mu = min((x.content_valuation() for row in S.relations for x in row), default=0)
-            if mu:
-                S = _eliminated(ModulePresentation(ctx, k, tuple(tuple(SeriesElement(ctx, {
-                    e: c // ctx.p.p ** mu for e, c in x.coefficients.items()}) for x in row) for row in S.relations)))
-            rows = S.relations if S else ()
-            used = {v for row in rows for x in row for e in x.coefficients for v in range(ctx.d) if e[v]}
-            parts.append((S, k, mu, _annihilator(S) if S else None, used))
+        is immutable.  The relations are read once, as rows of integer
+        coefficient dicts; E is (rows, generators) in that form.  mu is
+        the least valuation of a coefficient of S; S' divides each by
+        p^mu, a lift of S / p^mu, and p^mu S' = S for any lift.  S' has k
+        generators; E is S' without its own unit pivots, which only a
+        division by p^mu can bring, or None when S' is 0."""
+        ctx, parts = self.context, []
+        for rows, k in _summands(*_eliminated([[x.coefficients for x in r] for r in self.relations], self.generators, ctx)):
+            mu = min((ord_p(c, ctx.p) for r in rows for x in r for c in x.values()), default=0)
+            E = _eliminated([[{e: c // ctx.p.p**mu for e, c in x.items()} for x in r] for r in rows], k, ctx) if mu else (rows, k)
+            used = {v for r in E[0] for x in r for e in x for v in range(ctx.d) if e[v]}
+            parts.append((E, k, mu, _annihilator(*E, ctx), used) if E[1] else (None, k, mu, None, used))
         return parts
 
 
@@ -234,31 +234,28 @@ def _reduced_powers(modulus, m: int, top: int, stride: int) -> list:
     return red
 
 
-def _relation_rows(M: ModulePresentation, moduli: dict) -> _SparseRows:
-    """The relation rows of M on the monomials reduced modulo the monic
-    moduli[v] in each variable v of `moduli`, which holds every variable
-    the relations use, with the shape of the matrix they stand for.  Row
-    (i, a) is relation i times the multiplier T^a, and column (g, b) is
-    generator g times the monomial T^b, with a_v and b_v below
-    deg moduli[v], flattened in lexicographic order.  Each term c*T^e of
-    relation i adds the nonzeros of c*T^(a+e) reduced to row (i, a), which
-    is reduced mod p^N as soon as it is built.  Each variable's table of
-    reduced powers ends at the largest exponent the relations use."""
-    m = M.context.modulus
+def _relation_rows(rows, k: int, moduli: dict, m: int) -> _SparseRows:
+    """The relation rows `rows` on k generators on the monomials reduced
+    modulo the monic moduli[v] in each variable v of `moduli`, which holds
+    every variable the relations use, with the shape of the matrix they
+    stand for.  Row (i, a) is relation i times the multiplier T^a, and
+    column (g, b) is generator g times the monomial T^b, with a_v and b_v
+    below deg moduli[v], flattened in lexicographic order.  Each term
+    c*T^e of relation i adds the nonzeros of c*T^(a+e) reduced to row
+    (i, a), which is reduced mod m = p^N as soon as it is built.  Each
+    variable's table of reduced powers ends at the largest exponent the
+    relations use."""
     degrees = [len(h) - 1 for h in moduli.values()]
     b = prod(degrees)
-    tops = {v: max((x.degree(v) for row in M.relations for x in row), default=0) for v in moduli}
+    tops = {v: max((e[v] for r in rows for x in r for e in x), default=0) for v in moduli}
     tables, stride = [], b
     for (v, h), q in zip(moduli.items(), degrees):
         stride //= q
         tables.append(_reduced_powers(h, m, q - 1 + tops[v], stride))
     multipliers = list(product(*map(range, degrees)))
-    rows = []
-    for rel in M.relations:
-        terms = [
-            (g * b, [exps[v] for v in moduli], c)
-            for g, x in enumerate(rel) for exps, c in x.coefficients.items()
-        ]
+    out = []
+    for rel in rows:
+        terms = [(g * b, [exps[v] for v in moduli], c) for g, x in enumerate(rel) for exps, c in x.items()]
         for a in multipliers:
             row = {}
             for base, e, c in terms:
@@ -267,62 +264,61 @@ def _relation_rows(M: ModulePresentation, moduli: dict) -> _SparseRows:
                     cells = [(o + s, z) for o, u in cells for s, y in red[av + ev] if (z := u * y % m)]
                 for col, x in cells:
                     row[col] = row.get(col, 0) + x
-            rows.append({col: y for col, x in row.items() if (y := x % m)})
-    return _SparseRows(rows, (len(rows), M.generators * b))
+            out.append({col: y for col, x in row.items() if (y := x % m)})
+    return _SparseRows(out, (len(out), k * b))
 
 
-def _annihilator(M: ModulePresentation):
-    """(j, h) for a monic h(T_j) with h * Lambda^k inside the relations,
-    as integer coefficients with the constant term first, or None.  h is
-    det(A) over its leading coefficient, for a square presentation A
-    whose determinant (see char_poly) involves T_j alone and leads with a
-    unit: adj(A) * A = det * I.  None when char_poly refuses A, as when D
-    would truncate det; with mu > 0 no coefficient is a unit."""
-    ctx, m = M.context, M.context.modulus
-    try:
-        det = char_poly(M.relation_matrix())
-    except (DegreeOverflow, NotSquare, PrecisionExhausted):
-        return None
-    support = {v for exps in det.coefficients for v in range(ctx.d) if exps[v]}
+def _annihilator(rows, k: int, ctx: PrecisionContext):
+    """(j, h) for a monic h(T_j) with h * Lambda^k inside the relation
+    rows `rows` on k generators, as integer coefficients mod p^N with the
+    constant term first, or None.  h is det(A) over its leading
+    coefficient, for square rows A whose determinant (series.determinant,
+    exact at any degree, reduced mod p^N) involves T_j alone and leads
+    with a unit: adj(A) * A = det * I.  With mu > 0 no coefficient is a
+    unit."""
+    m = ctx.modulus
+    det = {e: y for e, c in determinant(rows).items() if (y := c % m)} if len(rows) == k else {}
+    support = {v for e in det for v in range(ctx.d) if e[v]}
     j = min(support, default=0)
-    coeffs = [0] * (det.degree(j) + 1)
-    for exps, c in det.coefficients.items():
-        coeffs[exps[j]] = c
-    if len(support) > 1 or coeffs[-1] % ctx.p.p == 0:
+    coeffs = [0] * (max((e[j] for e in det), default=-1) + 1)
+    for e, c in det.items():
+        coeffs[e[j]] = c
+    if not det or len(support) > 1 or coeffs[-1] % ctx.p.p == 0:
         return None
     return j, [c * pow(coeffs[-1], -1, m) % m for c in coeffs]
 
 
-def _eliminated(M: ModulePresentation):
-    """M on fewer generators, M itself when no pivot is taken, or None
-    for the zero module.  An entry u = r_i[g] with a unit constant term
-    is a unit of Lambda and of each level ring, which are local, so r_i
-    expresses generator g in the others (Nakayama): series.minors on the
-    integer lift of the relations takes each such pivot.  The entries
-    left are minors of degree <= k D, k = M.generators; reduced mod p^N
-    they go to the degree cap 2 k D, which char_poly's row-degree rule
-    reads when _annihilator takes their determinant."""
-    ctx, zero, p = M.context, (0,) * M.context.d, M.context.p.p
-    rows, pivots, _ = minors([[x.coefficients for x in r] for r in M.relations], lambda u: u.get(zero, 0) % p)
-    ctx, k = PrecisionContext(ctx.p, ctx.N, ctx.d, 2 * M.generators * ctx.D), M.generators - len(pivots)
-    return M if not pivots else ModulePresentation(ctx, k, tuple(tuple(SeriesElement(ctx, x) for x in r) for r in rows)) if k else None
+def _eliminated(rows, k: int, ctx: PrecisionContext) -> tuple:
+    """The module with relation rows `rows` on k generators, as (rows,
+    generators) on fewer generators: the same when no pivot is taken,
+    ([], 0) for the zero module.  An entry u = r_i[g] with a unit
+    constant term is a unit of Lambda and of each level ring, which are
+    local, so r_i expresses generator g in the others (Nakayama):
+    series.minors on the integer lift takes each such pivot, and the
+    minors left are reduced mod p^N.  It takes rank_Fp A(0) pivots, as
+    M / (p, T) M = coker(A(0) mod p), so minors on A(0) mod p first finds
+    a rank of k, M = 0, before any polynomial pivot."""
+    p, m, zero = ctx.p.p, ctx.modulus, (0,) * ctx.d
+    unit = lambda u: u.get(zero, 0) % p
+    if len(minors([[{zero: unit(x)} for x in r] for r in rows], unit)[1]) == k:
+        return [], 0
+    rows, pivots, _ = minors(rows, unit)
+    return [[{e: y for e, c in x.items() if (y := c % m)} for x in r] for r in rows], k - len(pivots)
 
 
-def _summands(M: ModulePresentation) -> list:
-    """Direct summands of M, relations and generators kept in order: the
-    components of the graph linking relation i to generator g when entry
-    (i, g) is nonzero.  All-zero relations are dropped; a generator that
-    no relation touches is a free summand."""
-    parts = [({g}, []) for g in range(M.generators)]
-    for i, row in enumerate(M.relations):
-        hit = [part for part in parts if any(row[g].coefficients for g in part[0])]
+def _summands(rows, k: int) -> list:
+    """Direct summands (rows, generators) of the module with relation
+    rows `rows` on k generators, relations and generators kept in order:
+    the components of the graph linking relation i to generator g when
+    entry (i, g) is nonzero.  All-zero relations are dropped; a generator
+    that no relation touches is a free summand."""
+    parts = [({g}, []) for g in range(k)]
+    for i, row in enumerate(rows):
+        hit = [part for part in parts if any(row[g] for g in part[0])]
         if hit:
             parts = [part for part in parts if part not in hit]
             parts.append((set().union(*(gs for gs, _ in hit)), [r for _, rs in hit for r in rs] + [i]))
-    return [
-        ModulePresentation(M.context, len(gs), tuple(tuple(M.relations[i][g] for g in sorted(gs)) for i in sorted(rs)))
-        for gs, rs in parts
-    ]
+    return [([[rows[i][g] for g in sorted(gs)] for i in sorted(rs)], len(gs)) for gs, rs in parts]
 
 
 def coinvariants(
@@ -358,7 +354,7 @@ def coinvariants(
     n = at_least(n, 0, "n")
     dimension_bound = at_least(dimension_bound, 0, "dimension_bound")
     ctx = M.context
-    p, N, d = ctx.p.p, ctx.N, ctx.d
+    p, N, d, m = ctx.p.p, ctx.N, ctx.d, ctx.modulus
     plans, basis = [], 0
     for E, k, mu, ann, used in M._parts:
         j, h = ann if ann and len(ann[1]) <= p ** n else (None, None)
@@ -372,26 +368,24 @@ def coinvariants(
         copies = p ** (n * (d - len(U)))
         moduli = {v: h if v == j else omega for v in U}
         b = prod(len(x) - 1 for x in moduli.values())
-        s = E.generators if E else 0
+        rows, s = E or ([], 0)
         t, f = (), s * b
-        if s and E.relations:
+        if s and rows:
             if h is not None:  # level rows w_n(T_j) e_g; w_n mod h is row 0 of w_n(C_h)
-                m, q = ctx.modulus, len(h) - 1
+                q = len(h) - 1
                 red = _reduced_powers(h, m, q, 1)  # x = I + C_h: row a is T^a + T^(a+1) mod h
                 x = [[int(a == c) + dict(red[a + 1]).get(c, 0) for c in range(q)] for a in range(q)]
                 for _ in range(n):  # x = x^p mod p^N: p - 1 products with the columns of x
                     cols = list(zip(*x))
                     for _ in range(p - 1):
                         x = [[sum(u * v for u, v in zip(row, col)) % m for col in cols] for row in x]
-                w = SeriesElement.univariate(E.context, [x[0][0] - 1, *x[0][1:]], j)
-                E = ModulePresentation(E.context, s, E.relations + tuple(
-                    tuple(w if g == i else SeriesElement.zero(E.context) for g in range(s)) for i in range(s)
-                ))
+                w = {(0,) * j + (a,) + (0,) * (d - j - 1): y for a, c in enumerate([x[0][0] - 1, *x[0][1:]]) if (y := c % m)}
+                rows = rows + [[w if g == i else {} for g in range(s)] for i in range(s)]
             try:
-                shape = snf(_relation_rows(E, moduli), ctx.p, N)
+                shape = snf(_relation_rows(rows, s, moduli, m), ctx.p, N)
             except MemoryError as exc:
                 raise DimensionOverflow(
-                    f"the {len(E.relations) * b} x {s * b} relation matrix does not fit in memory"
+                    f"the {len(rows) * b} x {s * b} relation matrix does not fit in memory"
                 ) from exc
             t, f = shape.torsion_exponents, shape.free_rank_at_precision
         if mu:  # S = p^mu S': each of the k p^(n #U) divisors of S' gains mu, up to N

@@ -156,13 +156,26 @@ class TestTower:
 
     def test_pivot_products_beyond_d(self, tmp_path, capsys):
         # ((1 + T, T), (T, 3)) at D = 1: the pivot 1 + T gives 3 + 3T - T^2,
-        # past D, so it is taken at a larger degree cap and the module is
+        # past D, which no degree cap truncates, and the module is
         # Lambda/(3 + 3T - T^2), with basis 2 per level, not 2 * 3^n
         path = tmp_path / "mod.txt"
         path.write_text("p: 3\nN: 8\nd: 1\nD: 1\ngenerators: 2\nrelation: 1 + T1; T1\nrelation: T1; 3\n")
         assert main(["tower", str(path), "--n-max", "5", "--dim-bound", "100"]) == 0
         rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
         assert [(r[1], r[4]) for r in rows] == [(str(2 * n + 1), "-") for n in range(6)]
+
+    def test_determinant_past_d_reduces_the_basis(self, tmp_path, capsys):
+        # ((T^2, 3), (3, T^2)) at D = 3: its determinant T^4 - 9 is exact
+        # though its row degrees sum past D, so from level 2 on T is reduced
+        # modulo it, on 2 * 4 = 8 basis elements in place of 2 * 3^n;
+        # invariants still refuses to read mu and lambda at this D
+        path = tmp_path / "mod.txt"
+        path.write_text("p: 3\nN: 8\nd: 1\nD: 3\ngenerators: 2\nrelation: T1^2; 3\nrelation: 3; T1^2\n")
+        assert main(["tower", str(path), "--n-max", "3", "--dim-bound", "8"]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(r[1], r[4]) for r in rows] == [("2", "-"), ("7", "-"), ("11", "-"), ("15", "-")]
+        assert main(["invariants", str(path)]) == 1
+        assert capsys.readouterr().err == "error: DegreeOverflow: row degrees in T1 sum to 4 > D = 3\n"
 
 
 class TestFitPredictPipeline:

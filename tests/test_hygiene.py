@@ -8,10 +8,11 @@ stated once, by `padic.at_least`: no other module words one; likewise
 a square matrix and a determinant within the degree cap are required
 only by `series.char_poly`, a residue field prime to p only by
 `padic.h1_local_order`, and one variable only by
-`SeriesElement.univariate_coeffs`.  The
-package has no runtime dependency: it imports only the standard library
-and itself, so neither importing it nor running the selftest's oracles
-loads sympy or numpy."""
+`SeriesElement.univariate_coeffs`.  The coinvariant path builds no ring
+object and reads no degree cap: it runs on rows of integer coefficient
+dicts.  The package has no runtime dependency: it imports only the
+standard library and itself, so neither importing it nor running the
+selftest's oracles loads sympy or numpy."""
 
 import ast
 import os
@@ -296,6 +297,56 @@ def test_scan_finds_each_string_site():
         "    return inner\n"
     )
     assert string_sites(source, "requires d = 1") == [(1, ""), (5, "coeffs"), (9, "inner")]
+
+
+#: The functions from a presentation's relations to its coinvariants.
+COINVARIANT_PATH = ("_parts", "_eliminated", "_summands", "_annihilator", "_relation_rows", "coinvariants")
+
+
+def ring_objects(source: str, functions) -> list:
+    """`function line: what` for each call in the named functions of
+    `source` that builds a SeriesElement, ModulePresentation or
+    PrecisionContext (the class itself or an attribute of it called),
+    and each read of an attribute `D`, the degree cap."""
+    builders = {"SeriesElement", "ModulePresentation", "PrecisionContext"}
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name not in functions:
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                f = node.func.value if isinstance(node.func, ast.Attribute) else node.func
+                if isinstance(f, ast.Name) and f.id in builders:
+                    out.append(f"{fn.name} {node.lineno}: {f.id}")
+            elif isinstance(node, ast.Attribute) and node.attr == "D":
+                out.append(f"{fn.name} {node.lineno}: .D")
+    return sorted(out)
+
+
+def test_coinvariant_path_runs_on_integer_rows():
+    source = (PACKAGE / "modules.py").read_text()
+    assert ring_objects(source, COINVARIANT_PATH) == []
+    # the determinant is exact, so _annihilator has no refusal to catch
+    tree = ast.parse(source)
+    annihilator = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_annihilator")
+    assert not any(isinstance(n, ast.Try) for n in ast.walk(annihilator))
+
+
+def test_scan_flags_a_ring_object():
+    source = (
+        "def _eliminated(M):\n"
+        "    ctx = PrecisionContext(M.context.p, M.context.N, 1, 2 * M.context.D)\n"
+        "    return SeriesElement.zero(ctx), SeriesElement, M.context.d\n"
+        "class Module:\n"
+        "    def _parts(self, rows: SeriesElement):\n"
+        "        return ModulePresentation(self.context, 1, rows)\n"
+        "def other():\n"
+        "    return SeriesElement.zero(ctx).context.D\n"
+    )
+    assert ring_objects(source, COINVARIANT_PATH) == [
+        "_eliminated 2: .D", "_eliminated 2: PrecisionContext", "_eliminated 3: SeriesElement",
+        "_parts 6: ModulePresentation",
+    ]
 
 
 def outside_imports(source: str) -> list:

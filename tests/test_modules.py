@@ -51,6 +51,20 @@ LARGE_KINDS = ("mu_banded", "band_over_block", "fill_in", "dense_large")
 CONTENT_KINDS = ("p_power", "row_contents")
 
 
+def rows_of(M):
+    """The relations of M as rows of integer coefficient dicts, the form
+    the coinvariant helpers take."""
+    return [[x.coefficients for x in row] for row in M.relations]
+
+
+def presented(ctx, E):
+    """E = (rows, generators) as a ModulePresentation over ctx's prime,
+    precision and variables, its degree cap raised to E's largest exponent."""
+    rows, k = E
+    ctx = PrecisionContext(ctx.p, ctx.N, ctx.d, max([ctx.D] + [max(e) for r in rows for x in r for e in x]))
+    return ModulePresentation(ctx, k, tuple(tuple(SeriesElement(ctx, x) for x in r) for r in rows))
+
+
 def band_over_block(rng, p, N, near=False):
     """An upper bidiagonal band of 8 unit rows, each followed by a unit
     multiple of itself, above a 10 x 10 block of p times nonzeros on
@@ -373,7 +387,7 @@ class TestCoinvariants:
             M = ModulePresentation(ctx, k, relations)
             # the level-n moduli of every module without a monic annihilator
             moduli = dict.fromkeys(range(d), omega_int_coeffs(p, n))
-            sparse = _relation_rows(M, moduli)
+            sparse = _relation_rows(rows_of(M), k, moduli, ctx.modulus)
             dense = np.zeros(sparse.shape, dtype=np.int64)
             for i, row in enumerate(sparse.rows):
                 assert all(row.values()), row
@@ -425,7 +439,7 @@ class TestReducedCoinvariants:
                 n -= 1
             degrees = [0] * k if case % 10 == 0 else [rng.randrange(1, 3) for _ in range(k)]
             M = annihilated_module(rng, d, k, p, rng.randrange(2, 9), degrees)
-            j, h = _annihilator(M)
+            j, h = _annihilator(rows_of(M), k, M.context)
             assert len(h) - 1 == sum(degrees)
             if len(h) - 1 < p**n:
                 reduced += 1
@@ -451,7 +465,7 @@ class TestReducedCoinvariants:
             degrees = [rng.randrange(1, 3) for _ in range(k)]
             degrees[0] += sum(degrees) < 2
             M = annihilated_module(rng, d, k, p, rng.randrange(2, 12), degrees)
-            j, h = _annihilator(M)
+            j, h = _annihilator(rows_of(M), k, M.context)
             assert 2 <= len(h) - 1 == sum(degrees) < p**n
             sevens += p == 7
             ctx = M.context
@@ -462,20 +476,32 @@ class TestReducedCoinvariants:
     def test_truncated_determinant_is_not_used(self, p3):
         # ((g, 3), (0, g)), g = T^2 + T + 3, has no unit entry and is one
         # summand, so coinvariants reach _annihilator: det = g^2 =
-        # T^4 + 2T^3 + 7T^2 + 6T + 9; at D = 3 the row degrees sum to 4,
+        # T^4 + 2T^3 + 7T^2 + 6T + 9.  At D = 3 the row degrees sum to 4,
         # so char_poly refuses the truncated 2T^3 + ..., which would lead
-        # with a unit but annihilate nothing; at D = 4 it is exact
-        for D, h in ((3, None), (4, (0, [9, 6, 7, 2, 1]))):
+        # with a unit but annihilate nothing; the determinant of the
+        # integer rows is exact at both D
+        for D in (3, 4):
             ctx = PrecisionContext(p3, 4, 1, D)
             g, z = poly(ctx, [3, 1, 1]), SeriesElement.zero(ctx)
             M = ModulePresentation(ctx, 2, ((g, poly(ctx, [3])), (z, g)))
-            if h is None:
+            if D == 3:
                 with pytest.raises(DegreeOverflow):
                     char_poly(M.relation_matrix())
-            assert _annihilator(M) == h
+            assert _annihilator(rows_of(M), 2, ctx) == (0, [9, 6, 7, 2, 1])
             want = reference_snf(reference_relation_matrix(M, 2), p3, 4)
             assert want.torsion_exponents == (3, 3)
             assert coinvariants(M, 2) == want
+
+    def test_determinant_past_d_reduces_the_basis(self, p3):
+        # ((T^2, 3), (3, T^2)) at D = 3: det = T^4 - 9, whose row degrees
+        # sum past D, is the annihilator, so level 2 needs 2 * 4 basis
+        # elements, not 2 * 3^2
+        ctx = PrecisionContext(p3, 8, 1, 3)
+        M = ModulePresentation(ctx, 2, ((poly(ctx, [0, 0, 1]), poly(ctx, [3])), (poly(ctx, [3]), poly(ctx, [0, 0, 1]))))
+        assert M._parts[0][3] == (0, [3**8 - 9, 0, 0, 0, 1])
+        want = reference_snf(reference_relation_matrix(M, 2), p3, 8)
+        assert want.log_torsion == 11
+        assert coinvariants(M, 2, dimension_bound=8) == want
 
     def test_annihilator_beyond_eight_generators(self, p3):
         # (T - 3) e_i + 3 e_(i+1) (i < 8) and (T - 3) e_8: one summand with
@@ -486,7 +512,7 @@ class TestReducedCoinvariants:
         f, three, z = poly(ctx, [-3, 1]), poly(ctx, [3]), SeriesElement.zero(ctx)
         M = ModulePresentation(ctx, 9, tuple(
             tuple(f if g == i else three if g == i + 1 else z for g in range(9)) for i in range(9)))
-        assert _annihilator(M) == (0, [comb(9, i) * (-3) ** (9 - i) % 3**8 for i in range(10)])
+        assert _annihilator(rows_of(M), 9, ctx) == (0, [comb(9, i) * (-3) ** (9 - i) % 3**8 for i in range(10)])
         assert coinvariants(M, 3, dimension_bound=81) == AbelianShape((4,) * 9, 0, 8)
         for n in range(4):
             assert coinvariants(M, n) == reference_snf(reference_relation_matrix(M, n), p3, 8), n
@@ -605,21 +631,19 @@ class TestSummands:
                 n -= 1
             M = summed_module(rng, d, k, p, rng.randrange(2, 9))
             ctx = M.context
-            parts = _summands(M)
+            parts = _summands(rows_of(M), k)
             used = {v for row in M.relations for x in row for e in x.coefficients for v in range(d) if e[v]}
             seen["split"] += len(parts) > 1
             seen["zero_row"] += any(not any(x.coefficients for x in row) for row in M.relations)
             seen["copies"] += n > 0 and len(used) < d
             if d == 3 and len(used) < 3:
                 seen[f"uses{len(used)}"] += 1
-            for S in parts:
-                ann = _annihilator(S)
-                seen["free"] += not S.relations
-                seen["constant"] += bool(S.relations) and all(
-                    not any(e) for row in S.relations for x in row for e in x.coefficients
-                )
+            for rows, s in parts:
+                ann = _annihilator(rows, s, ctx)
+                seen["free"] += not rows
+                seen["constant"] += bool(rows) and all(not any(e) for row in rows for x in row for e in x)
                 seen["reduced"] += bool(ann) and 1 < len(ann[1]) <= p**n
-                seen["unreduced"] += bool(S.relations) and not ann
+                seen["unreduced"] += bool(rows) and not ann
             want = reference_snf(reference_relation_matrix(M, n), ctx.p, ctx.N)
             assert coinvariants(M, n) == want, (case, d, k, p, n, M.relations)
         assert min(seen.values()) >= 8, seen
@@ -725,7 +749,7 @@ class TestContent:
                 n -= 1
             M = content_module(rng, d, k, p, rng.randrange(2, 9))
             ctx = M.context
-            mus = [mu for E, _, mu, _, _ in M._parts if E is None or E.relations]
+            mus = [mu for E, _, mu, _, _ in M._parts if E is None or E[0]]
             seen["beside_mu_0"] += 0 in mus and max(mus) > 0
             for E, _, mu, ann, used in M._parts:
                 if not mu:
@@ -735,7 +759,9 @@ class TestContent:
                 seen["reduced"] += reduced and len(ann[1]) > 1
                 seen["monomial"] += E is not None and not reduced
                 seen["copies"] += n > 0 and len(used | ({ann[0]} if reduced else set())) < d
-                seen["spill"] += E is not None and any(e + mu >= ctx.N for e in coinvariants(E, n).torsion_exponents)
+                seen["spill"] += E is not None and any(
+                    e + mu >= ctx.N for e in coinvariants(presented(ctx, E), n).torsion_exponents
+                )
             want = reference_snf(reference_relation_matrix(M, n), ctx.p, ctx.N)
             assert coinvariants(M, n) == want, (case, d, k, p, n, M.relations)
         assert min(seen.values()) >= 8, seen
@@ -798,9 +824,9 @@ def stabilised(rng, B, s, D=30):
     return ModulePresentation(ctx, k + s, tuple(tuple(row[g] for g in order) for row in rows))
 
 
-def has_unit_entry(M):
-    zero = (0,) * M.context.d
-    return any(x.coefficient(zero) % M.context.p.p for row in M.relations for x in row)
+def has_unit_entry(rows, ctx):
+    zero = (0,) * ctx.d
+    return any(x.get(zero, 0) % ctx.p.p for row in rows for x in row)
 
 
 class TestUnitPivots:
@@ -826,19 +852,19 @@ class TestUnitPivots:
             n = rng.randrange(0, 4 if d == 1 else 3)
             while (k + s) * p ** (n * d) > 250:
                 n -= 1
-            E = _eliminated(M)
-            gone = M.generators - (E.generators if E else 0)
+            ctx = M.context
+            rows, left = _eliminated(rows_of(M), M.generators, ctx)
+            gone = M.generators - left
             zero = (0,) * d
             units = [x for row in M.relations for x in row if x.coefficient(zero) % p]
             seen["non_constant"] += gone > 0 and all(len(x.coefficients) > 1 for x in units)
             seen["mu_after"] += any(mu for _, _, mu, _, _ in M._parts) and all(
-                min(x.content_valuation() for row in S.relations for x in row) == 0 for S in _summands(M) if S.relations
+                any(c % p for r in S for x in r for c in x.values()) for S, _ in _summands(rows_of(M), M.generators) if S
             )
-            seen["zero"] += E is None
+            seen["zero"] += left == 0
             seen["chain"] += gone >= 2
-            assert E is None or not has_unit_entry(E), (case, M.relations)
-            seen["beyond_D"] += E is not None and any(x.degree(v) > D for row in E.relations for x in row for v in range(d))
-            ctx = M.context
+            assert not has_unit_entry(rows, ctx), (case, M.relations)
+            seen["beyond_D"] += any(max(e) > D for row in rows for x in row for e in x)
             want = reference_snf(reference_relation_matrix(M, n), ctx.p, ctx.N)
             assert coinvariants(M, n) == want == coinvariants(B, n), (case, kind, d, k, s, p, n, M.relations)
         assert min(seen.values()) >= 8, seen
@@ -871,10 +897,10 @@ class TestUnitPivots:
                     f = A0[t][g] * inv
                     A0[t] = [(a - f * b) % p for a, b in zip(A0[t], A0[rank])]
                 rank += 1
-            E = _eliminated(M)
-            assert (E.generators if E else 0) == k - rank, (case, M.relations)
-            assert E is None or not has_unit_entry(E), (case, M.relations)
-            assert (E is M) == (rank == 0)
+            rows, left = _eliminated(rows_of(M), k, ctx)
+            assert left == k - rank, (case, M.relations)
+            assert not has_unit_entry(rows, ctx), (case, M.relations)
+            assert (rows == rows_of(M)) == (rank == 0)
 
     def test_divided_summand_is_eliminated(self, monkeypatch):
         # Lambda_2/(3 (1 + T1 + T2)) has no unit entry, but its divided
@@ -897,31 +923,68 @@ class TestUnitPivots:
 
     def test_degrees_grow_linearly(self):
         # entries after t pivots are (t+1)-minors, of degree <= (t+1) D:
-        # diag(f) and the chain with T1 below f, f = 1 + T1 + T2, are 0 on
-        # 12 generators at dimension bound 0 (products u r - r[g] r_i alone
-        # would reach f^(2^11)), and a dense A(0) + T1 B + T2 C with
-        # rank_Fp A(0) = k - 2 leaves two generators of degree <= k - 1
+        # diag(f, .., f, 3) and the chain with T1 below its diagonal,
+        # f = 1 + T1 + T2 twelve times, take 12 polynomial pivots
+        # (products u r - r[g] r_i alone would reach f^(2^11)) and leave the
+        # one entry 3 f^12, the determinant, so the module is Lambda_2/(3);
+        # a dense A(0) + T1 B + T2 C with rank_Fp A(0) = k - 2 leaves two
+        # generators of degree <= k - 1
         ctx = PrecisionContext(Prime(3), 8, 2, 1)
         f, z = SeriesElement(ctx, {(0, 0): 1, (1, 0): 1, (0, 1): 1}), SeriesElement.zero(ctx)
-        T1 = SeriesElement.variable(ctx, 0)
+        T1, three = SeriesElement.variable(ctx, 0), SeriesElement.constant(ctx, 3)
+        wide = PrecisionContext(Prime(3), 8, 2, 12)
+        det = SeriesElement.constant(wide, 3)
+        for _ in range(12):
+            det = det * SeriesElement(wide, f.coefficients)
         for below in (z, T1):
-            M = ModulePresentation(ctx, 12, tuple(
-                tuple(f if g == i else below if g == i - 1 else z for g in range(12)) for i in range(12)))
-            assert _eliminated(M) is None
-            assert all(t.log_torsion == t.zp_rank == 0 and not t.flags for t in tower(M, 2, dimension_bound=0))
+            M = ModulePresentation(ctx, 13, tuple(
+                tuple((f if i < 12 else three) if g == i else below if g == i - 1 else z for g in range(13)) for i in range(13)))
+            assert _eliminated(rows_of(M), 13, ctx) == ([[det.coefficients]], 1)
+            for n in range(3):
+                assert coinvariants(M, n) == AbelianShape((1,) * 9**n, 0, 8), n
         rng, k = random.Random(97), 7
         M = ModulePresentation(ctx, k, tuple(tuple(SeriesElement(ctx, {
             (0, 0): int(i == g < k - 2) + 3 * rng.randrange(9), (1, 0): rng.randrange(9), (0, 1): rng.randrange(9),
         }) for g in range(k)) for i in range(k)))
-        E = _eliminated(M)
-        assert E.generators == 2 and not has_unit_entry(E)
-        assert max(x.degree(v) for row in E.relations for x in row for v in range(2)) <= k - 1
+        rows, left = _eliminated(rows_of(M), k, ctx)
+        assert left == 2 and not has_unit_entry(rows, ctx)
+        assert max(max(e) for row in rows for x in row for e in x) <= k - 1
         want = reference_snf(reference_relation_matrix(M, 1), ctx.p, ctx.N)
         assert coinvariants(M, 1) == want
 
+    def test_rank_settles_the_zero_module(self, monkeypatch):
+        # a dense A(0) + T1 B + T2 C with A(0) = I mod 3 on 18 generators,
+        # and diag(f) and the chain with T1 below f, f = 1 + T1 + T2, on 12,
+        # are 0: A(0) has rank k over F_p, found by minors on the constant
+        # terms alone, so no polynomial pivot is taken and no matrix built
+        entries = []
+        real = iwatower.modules.minors
+
+        def recording(rows, accept):
+            entries.extend(x for row in rows for x in row)
+            return real(rows, accept)
+
+        monkeypatch.setattr(iwatower.modules, "minors", recording)
+        ctx = PrecisionContext(Prime(3), 8, 2, 1)
+        rng, k = random.Random(101), 18
+        dense = ModulePresentation(ctx, k, tuple(tuple(SeriesElement(ctx, {
+            (0, 0): int(i == g) + 3 * rng.randrange(3**7), (1, 0): rng.randrange(3**8), (0, 1): rng.randrange(3**8),
+        }) for g in range(k)) for i in range(k)))
+        f, z = SeriesElement(ctx, {(0, 0): 1, (1, 0): 1, (0, 1): 1}), SeriesElement.zero(ctx)
+        chains = [ModulePresentation(ctx, 12, tuple(
+            tuple(f if g == i else below if g == i - 1 else z for g in range(12)) for i in range(12)))
+            for below in (z, SeriesElement.variable(ctx, 0))]
+        for M in [dense] + chains:
+            assert M._parts == []
+            assert coinvariants(M, 2, dimension_bound=0) == AbelianShape((), 0, 8)
+            assert all(t.log_torsion == t.zp_rank == 0 and not t.flags for t in tower(M, 2, dimension_bound=0))
+        assert len(entries) == k * k + 2 * 12 * 12
+        assert all(not any(e) for x in entries for e in x), entries
+
     def test_no_pivot_returns_the_module_itself(self):
         # d2_tower's Lambda_2/(T1 - 3u) and Lambda_2/(p), the connected mu > 0
-        # chain and test_memory_error_flagged's module have no unit entry
+        # chain and test_memory_error_flagged's module have no unit entry:
+        # no pivot leaves the rows and the generator count unchanged
         ctx = PrecisionContext(Prime(3), 8, 2, 30)
         T1, T2 = SeriesElement.variable(ctx, 0), SeriesElement.variable(ctx, 1)
         p, z = SeriesElement.constant(ctx, 3), SeriesElement.zero(ctx)
@@ -932,7 +995,8 @@ class TestUnitPivots:
             ModulePresentation(ctx, 3, ((p, T1, z), (z, p, T2), (z, z, p))),
             ModulePresentation(ctx, 1, ((T1,), (T2,), (monomial(30, 30),), (monomial(30, 29),), (monomial(29, 30),))),
         ):
-            assert _eliminated(M) is M
+            rows = rows_of(M)
+            assert _eliminated(rows, M.generators, ctx) == (rows, M.generators)
 
 
 class TestTower:
